@@ -9,15 +9,17 @@ j = 0, 1, ... and the first feasible candidate wins.
 Early state exclusion (ESE) is a time strictly before the earliest
 transfer at which the boundary-return amplitude x_0 vanishes.  Zeros are
 minima of |x_0|^2, so the search is a uniform scan at a step fine enough
-for the fastest oscillation of the spectral sum, followed by
-golden-section refinement of every interior local minimum.
+for the fastest oscillation of the spectral sum.  Interior local minima
+whose neighboring grid points sit on the cancellation floor are dropped;
+the rest are refined together by one batched golden-section sweep, in which
+each step evaluates the new points of every open bracket in a single call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,9 +38,10 @@ _SCAN_DIVISIONS = 256
 _REFINE_WIDTH_FRAC = 1e-12
 _REFINE_MAX_ITER = 300
 
-# A refined minimum only counts as a crossing when the bracket edges stand
-# clear of the cancellation floor of the unit-mass spectral sum; below this
-# the whole neighborhood is numerically zero and no isolated zero exists.
+# A scan minimum is only refined when its bracket edges (the neighboring grid
+# points) stand clear of the cancellation floor of the unit-mass spectral
+# sum; below this the whole neighborhood is numerically zero and no isolated
+# zero exists.
 _NOISE_CLEARANCE = 1e-12
 
 # |x_N| this close to 1 at a candidate zero would mean transfer before the
@@ -93,10 +96,13 @@ class EseZero:
 class EseReport:
     """All certified early-exclusion times inside (0, T0).
 
-    ``unresolved`` lists candidate minima whose refinement did not
-    converge; ``early_pst_anomalies`` lists zeros excluded because the far
+    ``unresolved`` lists refined minima whose golden-section bracket did
+    not converge; ``early_pst_anomalies`` lists zeros excluded because the far
     boundary was numerically saturated there (which would contradict an
-    earliest-transfer certificate).
+    earliest-transfer certificate).  The search counters satisfy
+    ``candidates == noise_floor_rejections + refined``: every interior
+    minimum of the scan is either dropped because its neighboring grid
+    values lie below the cancellation floor, or refined.
     """
 
     zeros: tuple[EseZero, ...]
@@ -104,6 +110,9 @@ class EseReport:
     early_pst_anomalies: tuple[float, ...]
     scan_resolution: float
     tolerance: float
+    candidates: int = 0
+    noise_floor_rejections: int = 0
+    refined: int = 0
 
     def __post_init__(self):
         for zero in self.zeros:
@@ -171,36 +180,39 @@ def detect_pst(req: SpectrumRequest, tol: float = 1e-8) -> PstCertificate:
     )
 
 
-def _golden_minimize(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    width_tol: float,
-    max_iter: int | None = None,
-) -> tuple[float, bool]:
-    """Golden-section minimum of f on [lo, hi].
+def _x0_squared(sd: SpectralData, times) -> np.ndarray:
+    return np.abs(amplitude_values(sd, times, "first")) ** 2
 
-    Returns (location, converged); converged means the bracket shrank
-    below ``width_tol`` within the iteration budget.
+
+def _golden_minimize(
+    sd: SpectralData, lo: np.ndarray, hi: np.ndarray, width_tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section minima of |x_0|^2 on every bracket [lo[k], hi[k]].
+
+    All brackets advance together: each step moves every bracket still
+    wider than ``width_tol`` to its own left or right part and evaluates
+    the new interior points of all of them in one call.  Returns
+    (locations, converged); converged means the bracket shrank below
+    ``width_tol`` within ``_REFINE_MAX_ITER`` steps.
     """
-    if max_iter is None:
-        max_iter = _REFINE_MAX_ITER
-    a, b = float(lo), float(hi)
+    a = np.array(lo, dtype=float)
+    b = np.array(hi, dtype=float)
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
-    fc = f(c)
-    fd = f(d)
-    for _ in range(max_iter):
-        if b - a <= width_tol:
-            return 0.5 * (a + b), True
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
+    fc, fd = np.split(_x0_squared(sd, np.concatenate([c, d])), 2)
+    for _ in range(_REFINE_MAX_ITER):
+        live = np.nonzero(b - a > width_tol)[0]
+        if live.size == 0:
+            break
+        go_left = fc[live] <= fd[live]
+        left, right = live[go_left], live[~go_left]
+        b[left], d[left], fd[left] = d[left], c[left], fc[left]
+        c[left] = b[left] - _INV_PHI * (b[left] - a[left])
+        a[right], c[right], fc[right] = c[right], d[right], fd[right]
+        d[right] = a[right] + _INV_PHI * (b[right] - a[right])
+        fc[left], fd[right] = np.split(
+            _x0_squared(sd, np.concatenate([c[left], d[right]])), [left.size]
+        )
     return 0.5 * (a + b), b - a <= width_tol
 
 
@@ -222,9 +234,11 @@ def detect_ese(
 
     The scan runs over (eps, T0 - eps) with eps = 1e-6 T0 at a step no
     coarser than the fastest oscillation of the spectral sum divided by
-    256.  Interior local minima of |x_0|^2 are refined by golden section;
-    a refined minimum is certified as a zero when its residual beats
-    ``tol`` and its bracket edges rise above the evaluation noise floor.
+    256.  An interior local minimum of |x_0|^2 is dropped when |x_0| at
+    both neighboring grid points lies below the noise clearance, since no
+    isolated zero can be resolved there.  The surviving minima are refined
+    together by one batched golden-section sweep; a refined minimum is
+    certified as a zero when its residual beats ``tol``.
     """
     if not cert.has_pst:
         raise ValueError("certificate does not certify perfect state transfer")
@@ -236,41 +250,23 @@ def detect_ese(
     eps = 1e-6 * transfer_time
     times = _scan_grid(sd, eps, transfer_time - eps)
     resolution = float(times[1] - times[0])
-    f2 = np.abs(amplitude_values(sd, times, "first")) ** 2
-    width_tol = _REFINE_WIDTH_FRAC * transfer_time
-
-    def objective(t: float) -> float:
-        return abs(amplitude(sd, "first", t)) ** 2
-
-    zeros: list[EseZero] = []
-    unresolved: list[float] = []
-    anomalies: list[float] = []
-    for i in _interior_minima(f2):
-        t_star, converged = _golden_minimize(
-            objective, times[i - 1], times[i + 1], width_tol
-        )
-        if not converged:
-            unresolved.append(float(t_star))
-            continue
-        residual = abs(amplitude(sd, "first", t_star))
-        if residual >= tol:
-            continue
-        edge = math.sqrt(max(float(f2[i - 1]), float(f2[i + 1])))
-        if edge < _NOISE_CLEARANCE:
-            continue
-        last_site = abs(amplitude(sd, "last", t_star))
-        if last_site >= 1.0 - _ANOMALY_MARGIN:
-            anomalies.append(float(t_star))
-        else:
-            zeros.append(
-                EseZero(
-                    time=float(t_star),
-                    residual=float(residual),
-                    last_site_modulus=float(last_site),
-                )
-            )
+    f2 = _x0_squared(sd, times)
+    minima = _interior_minima(f2)
+    edge = np.sqrt(np.maximum(f2[minima - 1], f2[minima + 1]))
+    kept = minima[edge >= _NOISE_CLEARANCE]
+    t_star, converged = _golden_minimize(
+        sd, times[kept - 1], times[kept + 1], _REFINE_WIDTH_FRAC * transfer_time
+    )
+    t_conv = t_star[converged]
+    residual = np.abs(amplitude_values(sd, t_conv, "first"))
+    small = residual < tol
+    t_zero, residual = t_conv[small], residual[small]
+    last_site = np.abs(amplitude_values(sd, t_zero, "last"))
+    saturated = last_site >= 1.0 - _ANOMALY_MARGIN
+    clear = ~saturated
     deduped: list[EseZero] = []
-    for zero in zeros:
+    for t, r, x in zip(t_zero[clear], residual[clear], last_site[clear]):
+        zero = EseZero(time=float(t), residual=float(r), last_site_modulus=float(x))
         if deduped and zero.time - deduped[-1].time < 0.5 * resolution:
             if zero.residual < deduped[-1].residual:
                 deduped[-1] = zero
@@ -278,35 +274,37 @@ def detect_ese(
         deduped.append(zero)
     return EseReport(
         zeros=tuple(deduped),
-        unresolved=tuple(unresolved),
-        early_pst_anomalies=tuple(anomalies),
+        unresolved=tuple(float(t) for t in t_star[~converged]),
+        early_pst_anomalies=tuple(float(t) for t in t_zero[saturated]),
         scan_resolution=resolution,
         tolerance=float(tol),
+        candidates=int(minima.size),
+        noise_floor_rejections=int(minima.size - kept.size),
+        refined=int(kept.size),
     )
 
 
 def min_overlap(sd: SpectralData, t0: float, t1: float) -> MinOverlap:
     """Global minimum of |x_0(t)| over [t0, t1] to about 1e-8.
 
-    Dense scan at the oscillation-resolving step, then golden-section
-    refinement of every interior local minimum; endpoint values compete as
-    they stand.
+    Dense scan at the oscillation-resolving step, then one batched
+    golden-section sweep over every interior local minimum; endpoint values
+    compete as they stand.
     """
     if not t0 < t1:
         raise ValueError("need t0 < t1")
     times = _scan_grid(sd, float(t0), float(t1))
-    f2 = np.abs(amplitude_values(sd, times, "first")) ** 2
-    width_tol = _REFINE_WIDTH_FRAC * (float(t1) - float(t0))
-
-    def objective(t: float) -> float:
-        return abs(amplitude(sd, "first", t)) ** 2
-
-    best_t = float(times[int(np.argmin(f2))])
-    best_f = float(f2.min())
-    for i in _interior_minima(f2):
-        t_star, _ = _golden_minimize(objective, times[i - 1], times[i + 1], width_tol)
-        f_star = objective(t_star)
-        if f_star < best_f:
-            best_f = f_star
-            best_t = float(t_star)
-    return MinOverlap(min_value=math.sqrt(best_f), argmin=best_t)
+    f2 = _x0_squared(sd, times)
+    minima = _interior_minima(f2)
+    t_star, _ = _golden_minimize(
+        sd,
+        times[minima - 1],
+        times[minima + 1],
+        _REFINE_WIDTH_FRAC * (float(t1) - float(t0)),
+    )
+    # argmin takes the first of equal values, so a refined minimum replaces
+    # the best grid point only when it is strictly lower
+    t_all = np.concatenate([times, t_star])
+    f_all = np.concatenate([f2, _x0_squared(sd, t_star)])
+    best = int(np.argmin(f_all))
+    return MinOverlap(min_value=math.sqrt(f_all[best]), argmin=float(t_all[best]))

@@ -1,6 +1,8 @@
 """Transfer-time certification and early-exclusion search."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,26 @@ from pstchain import (
     persymmetric_weights,
     surgery_spectrum,
 )
+
+
+GOLDEN_ESE = Path(__file__).parent / "golden" / "ese_named_families.json"
+
+
+def golden_request(case):
+    if case["family"] == "krawtchouk":
+        N = case["N"]
+        return SpectrumRequest(np.arange(N + 1.0) - N / 2.0)
+    if case["family"] == "surgery":
+        return surgery_spectrum(case["N"])
+    return gap_family_spectrum(case["n"], case["m"])
+
+
+def golden_id(case):
+    params = "-".join(f"{k}{case[k]}" for k in ("N", "n", "m") if k in case)
+    return f"{case['family']}-{params}"
+
+
+GOLDEN_CASES = json.loads(GOLDEN_ESE.read_text())["cases"]
 
 
 def four_site_data():
@@ -203,6 +225,63 @@ class TestDetectEse:
         assert report.zeros == ()
         assert len(report.unresolved) >= 1
 
+    @pytest.mark.parametrize(
+        "req",
+        [surgery_spectrum(3), gap_family_spectrum(10, 5), gap_family_spectrum(20, 9)],
+        ids=["surgery-3", "gap-10-5", "gap-20-9"],
+    )
+    def test_search_counters_partition_candidates(self, req):
+        report = detect_ese(persymmetric_weights(req), detect_pst(req))
+        assert report.candidates == report.noise_floor_rejections + report.refined
+        assert report.refined >= len(report.zeros) > 0
+
+    def test_amplitude_evaluations_do_not_grow_with_candidates(self, monkeypatch):
+        # every bracket advances in the same batched evaluation, so the call
+        # count follows the golden-section depth, not the number of minima
+        req = gap_family_spectrum(20, 9)
+        sd, cert = persymmetric_weights(req), detect_pst(req)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return amplitude_values(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "amplitude_values", counted)
+        report = detect_ese(sd, cert)
+        assert len(report.zeros) == 9
+        assert report.candidates > 64
+        assert len(calls) <= 64
+
+    def test_plateau_minima_are_never_refined(self):
+        # every interior minimum of the 41-site equidistant chain lies on the
+        # cancellation plateau near T0
+        req = SpectrumRequest(np.arange(41.0) - 20.0)
+        report = detect_ese(persymmetric_weights(req), detect_pst(req))
+        assert report.candidates > 0
+        assert report.noise_floor_rejections == report.candidates
+        assert report.refined == 0
+        assert report.zeros == ()
+
+
+class TestEseGolden:
+    """detect_ese against outputs recorded before the batched refinement."""
+
+    @pytest.mark.parametrize("case", GOLDEN_CASES, ids=golden_id)
+    def test_matches_recorded_search(self, case):
+        req = golden_request(case)
+        cert = detect_pst(req)
+        assert cert.transfer_time == case["transfer_time"]
+        report = detect_ese(persymmetric_weights(req), cert)
+        assert len(report.zeros) == len(case["zeros"])
+        assert len(report.unresolved) == len(case["unresolved"])
+        assert len(report.early_pst_anomalies) == len(case["early_pst_anomalies"])
+        width = dynamics._REFINE_WIDTH_FRAC * case["transfer_time"]
+        for zero, (time, _) in zip(report.zeros, case["zeros"]):
+            assert abs(zero.time - time) <= width
+            assert zero.residual < case["tolerance"]
+        for got, want in zip(report.early_pst_anomalies, case["early_pst_anomalies"]):
+            assert abs(got - want) <= width
+
 
 class TestReflectionSymmetry:
     @pytest.mark.parametrize(
@@ -235,6 +314,14 @@ class TestMinOverlap:
         result = min_overlap(sd, 0.5, 1.0)
         assert result.min_value < 1e-8
         assert result.argmin == pytest.approx(math.acos(2.0 / 3.0), abs=1e-6)
+
+    def test_gap_family_minimum_is_an_ese_zero(self):
+        req = gap_family_spectrum(6, 4)
+        sd = persymmetric_weights(req)
+        zeros = [z.time for z in detect_ese(sd, detect_pst(req)).zeros]
+        result = min_overlap(sd, 0.05, 2.5)
+        assert result.min_value < 1e-10
+        assert min(abs(result.argmin - t) for t in zeros) < 1e-9
 
     def test_rejects_empty_interval(self):
         _, sd = four_site_data()
