@@ -31,7 +31,6 @@ from .inverse import (
     SpectrumRequest,
     persymmetric_weights,
     reconstruct_jacobi,
-    surgery_spectrum,
 )
 from .dynamics import (
     EseReport,
@@ -46,14 +45,13 @@ from .families import (
     ChebyshevCombination,
     FourSiteClosedForm,
     amplitude_as_chebyshev,
-    chebyshev_eval,
     closed_form_4x4,
     closed_form_krawtchouk_x0,
     closed_form_surgery_x0,
     count_sign_changes,
     gap_family_spectrum,
     krawtchouk_chain,
-    monic_krawtchouk,
+    surgery_spectrum,
 )
 
 __version__ = "0.1.0"
@@ -81,7 +79,6 @@ __all__ = [
     "amplitude_as_chebyshev",
     "amplitude_series",
     "amplitude_values",
-    "chebyshev_eval",
     "check_persymmetry",
     "closed_form_4x4",
     "closed_form_krawtchouk_x0",
@@ -94,7 +91,6 @@ __all__ = [
     "gap_family_spectrum",
     "krawtchouk_chain",
     "min_overlap",
-    "monic_krawtchouk",
     "persymmetric_weights",
     "reconstruct_jacobi",
     "surgery_spectrum",

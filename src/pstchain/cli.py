@@ -19,8 +19,8 @@ from . import __version__
 from .dynamics import EseReport, PstCertificate, detect_ese, detect_pst
 from .emit import amplitude_svg, csv_text, dumps
 from .errors import ChainError
-from .families import gap_family_spectrum, krawtchouk_chain
-from .inverse import SpectrumRequest, persymmetric_weights, reconstruct_jacobi, surgery_spectrum
+from .families import gap_family_spectrum, krawtchouk_chain, surgery_spectrum
+from .inverse import SpectrumRequest, persymmetric_weights, reconstruct_jacobi
 from .jacobi import (
     JacobiMatrix,
     SpectralData,
@@ -123,40 +123,39 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def _spectrum_file(args: argparse.Namespace) -> SpectrumRequest:
+    doc = _load_json(args.input)
+    _require(isinstance(doc, list), "spectrum file must be a JSON array")
+    return SpectrumRequest(doc)
+
+
+# kind -> (argparse dests it needs, spectrum factory)
+_CONSTRUCT_KINDS = {
+    "krawtchouk": (("N",), lambda a: SpectrumRequest(np.arange(a.N + 1) - a.N / 2.0)),
+    "gap-family": (("n", "m"), lambda a: gap_family_spectrum(a.n, a.m)),
+    "surgery": (("N",), lambda a: surgery_spectrum(a.N)),
+    "example-4x4": ((), lambda a: surgery_spectrum(3)),
+    "from-spectrum": (("input",), _spectrum_file),
+}
+
+
 def cmd_construct(args: argparse.Namespace) -> RunManifest:
     """Build a named wire and write its full spectral document."""
     kind = args.kind
+    needs, factory = _CONSTRUCT_KINDS[kind]
+    missing = [
+        "--in" if dest == "input" else f"--{dest}"
+        for dest in needs
+        if getattr(args, dest) is None
+    ]
+    _require(not missing, f"{kind} requires {' and '.join(missing)}")
+    request = factory(args)
+    sd = persymmetric_weights(request)
+    # the closed-form chain keeps exact zeros on the diagonal
     if kind == "krawtchouk":
-        _require(args.N is not None and args.N >= 1, "krawtchouk requires --N >= 1")
         chain = krawtchouk_chain(args.N)
-        request = SpectrumRequest(np.arange(args.N + 1) - args.N / 2.0)
-        sd = persymmetric_weights(request)
-    elif kind == "gap-family":
-        _require(
-            args.n is not None and args.m is not None,
-            "gap-family requires --n and --m",
-        )
-        request = gap_family_spectrum(args.n, args.m)
-        sd = persymmetric_weights(request)
+    else:
         chain = reconstruct_jacobi(sd)
-    elif kind == "surgery":
-        _require(args.N is not None, "surgery requires an odd --N >= 3")
-        request = surgery_spectrum(args.N)
-        sd = persymmetric_weights(request)
-        chain = reconstruct_jacobi(sd)
-    elif kind == "example-4x4":
-        request = surgery_spectrum(3)
-        sd = persymmetric_weights(request)
-        chain = reconstruct_jacobi(sd)
-    elif kind == "from-spectrum":
-        _require(args.input is not None, "from-spectrum requires --in")
-        doc = _load_json(args.input)
-        _require(isinstance(doc, list), "spectrum file must be a JSON array")
-        request = SpectrumRequest(doc)
-        sd = persymmetric_weights(request)
-        chain = reconstruct_jacobi(sd)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown kind {kind}")
     persymmetry = check_persymmetry(chain, 1e-12)
     cert = detect_pst(request, args.tol)
     document = {

@@ -1,4 +1,4 @@
-"""Named polynomial families: equidistant chains, gap spectra, closed forms.
+"""Named polynomial families: equidistant chains, gap and surgery spectra, closed forms.
 
 The equidistant (binomial-weight) chain has couplings
 b_k = sqrt((k+1)(N-k))/2, eigenvalues s - N/2 and boundary amplitude
@@ -94,25 +94,6 @@ def krawtchouk_chain(N: int) -> JacobiMatrix:
     return JacobiMatrix(diag=np.zeros(N + 1), offdiag=off)
 
 
-def monic_krawtchouk(N: int, n: int, x):
-    """Monic symmetric-binomial polynomial K_n at x by forward recurrence.
-
-    Defined for n = 0..N+1 through
-    K_{j+1}(x) = (x - N/2) K_j(x) - ((N+1-j) j / 4) K_{j-1}(x)
-    from K_{-1} = 0, K_0 = 1; K_{N+1} is x(x-1)...(x-N).
-    """
-    if N < 1:
-        raise ValueError("N must be a positive integer")
-    if not 0 <= n <= N + 1:
-        raise ValueError("polynomial index must lie in [0, N+1]")
-    x = np.asarray(x, dtype=float)
-    prev = np.zeros_like(x)
-    cur = np.ones_like(x)
-    for j in range(n):
-        prev, cur = cur, (x - N / 2.0) * cur - ((N + 1.0 - j) * j / 4.0) * prev
-    return cur
-
-
 def gap_family_spectrum(n: int, m: int) -> SpectrumRequest:
     """Symmetric size-2n spectrum with unit gaps except a middle gap 2m+1.
 
@@ -125,6 +106,18 @@ def gap_family_spectrum(n: int, m: int) -> SpectrumRequest:
         raise ValueError("m must be a positive integer")
     upper = (2.0 * m + 2.0 * np.arange(n) + 1.0) / 2.0
     return SpectrumRequest(np.concatenate([-upper[::-1], upper]))
+
+
+def surgery_spectrum(N: int) -> SpectrumRequest:
+    """Unit-gap symmetric spectrum of size N+3 with the innermost pair removed.
+
+    Returns {+-(2k+1)/2 : k = 1..(N+1)/2}, i.e. N+1 points.  N must be odd
+    and at least 3.
+    """
+    if N < 3 or N % 2 == 0:
+        raise ValueError("N must be an odd integer >= 3")
+    upper = [(2 * k + 1) / 2 for k in range(1, (N + 1) // 2 + 1)]
+    return SpectrumRequest([-v for v in reversed(upper)] + upper)
 
 
 def closed_form_4x4(t) -> FourSiteClosedForm:
@@ -157,22 +150,6 @@ def closed_form_surgery_x0(N: int, t):
     half = (N + 1) // 2
     t = np.asarray(t, dtype=float)
     return ((half + 1.0) * np.cos(t) - half) * np.cos(0.5 * t) ** N
-
-
-def chebyshev_eval(j: int, x):
-    """T_j(x) = cos(j arccos x) on [-1, 1] by the stable recurrence."""
-    if j < 0:
-        raise ValueError("degree must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) > 1.0 + 1e-12):
-        raise ValueError("evaluation is restricted to |x| <= 1")
-    t_prev = np.ones_like(x)
-    if j == 0:
-        return t_prev
-    t_cur = x.copy()
-    for _ in range(j - 1):
-        t_prev, t_cur = t_cur, 2.0 * x * t_cur - t_prev
-    return t_cur
 
 
 def amplitude_as_chebyshev(sd: SpectralData) -> ChebyshevCombination:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ReconstructionError, WeightInconsistencyError
-from .jacobi import GAP_RTOL, MAX_SITES, JacobiMatrix, SpectralData, _readonly
+from .jacobi import JacobiMatrix, SpectralData, _spectrum
 
 # Lanczos residual norms at or below this fraction of the spectral scale
 # mean the measure has effectively fewer support points than requested.
@@ -35,20 +35,7 @@ class SpectrumRequest:
     eigenvalues: np.ndarray
 
     def __post_init__(self):
-        lam = _readonly(self.eigenvalues)
-        if not 2 <= lam.size <= MAX_SITES:
-            raise ValueError(
-                f"spectrum size must be between 2 and {MAX_SITES}, got {lam.size}"
-            )
-        if not np.all(np.isfinite(lam)):
-            raise ValueError("eigenvalues must be finite")
-        scale = float(np.abs(lam).max())
-        if not np.all(np.diff(lam) > GAP_RTOL * scale):
-            raise ValueError(
-                "eigenvalues must be strictly increasing with relative gaps "
-                f"above {GAP_RTOL}"
-            )
-        object.__setattr__(self, "eigenvalues", lam)
+        object.__setattr__(self, "eigenvalues", _spectrum(self.eigenvalues))
 
     @property
     def n_sites(self) -> int:
@@ -127,14 +114,3 @@ def reconstruct_jacobi(sd: SpectralData) -> JacobiMatrix:
     off = 0.5 * (off + off[::-1])
     return JacobiMatrix(diag=diag, offdiag=off)
 
-
-def surgery_spectrum(N: int) -> SpectrumRequest:
-    """Unit-gap symmetric spectrum of size N+3 with the innermost pair removed.
-
-    Returns {+-(2k+1)/2 : k = 1..(N+1)/2}, i.e. N+1 points.  N must be odd
-    and at least 3.
-    """
-    if N < 3 or N % 2 == 0:
-        raise ValueError("N must be an odd integer >= 3")
-    upper = [(2 * k + 1) / 2 for k in range(1, (N + 1) // 2 + 1)]
-    return SpectrumRequest([-v for v in reversed(upper)] + upper)

@@ -8,11 +8,14 @@ eigenvectors (the spectral weights): the site-0 amplitude is
 sum_s w_s exp(-i lambda_s t), and for mirror-symmetric (persymmetric)
 wires the site-N amplitude is the same sum with alternating signs.
 
-Eigenvalues are located by bisection on the Sturm sign count of the
-shifted LDL^T pivots; eigenvectors are assembled from the three-term
-recurrence of the associated orthonormal polynomials and normalized.  For
-the supported sizes (at most ``MAX_SITES`` sites) and simple, well
-separated spectra this gives weights close to working precision.
+One pivot recurrence serves the whole eigensolver: the guarded LDL^T
+pivots of T - sigma I.  Eigenvalues are located by bisection on their sign
+count (the Sturm count); eigenvectors come from twisted factorizations
+that join the forward and backward pivots at the eigenvalue, one sweep each
+way for all eigenvalues at once.  For the supported sizes (at most
+``MAX_SITES`` sites) and simple, well separated spectra this gives
+eigenpair residuals and weights at working precision, also for strongly
+localized eigenvectors.
 """
 
 from __future__ import annotations
@@ -44,6 +47,24 @@ def _readonly(values, dtype=float) -> np.ndarray:
         raise ValueError("expected a one-dimensional sequence")
     arr.setflags(write=False)
     return arr
+
+
+def _spectrum(values) -> np.ndarray:
+    """Read-only simple spectrum: 2..MAX_SITES finite, well separated values."""
+    lam = _readonly(values)
+    if not 2 <= lam.size <= MAX_SITES:
+        raise ValueError(
+            f"spectrum size must be between 2 and {MAX_SITES}, got {lam.size}"
+        )
+    if not np.all(np.isfinite(lam)):
+        raise ValueError("eigenvalues must be finite")
+    scale = float(np.abs(lam).max())
+    if not np.all(np.diff(lam) > GAP_RTOL * scale):
+        raise ValueError(
+            "eigenvalues must be strictly increasing with gaps above "
+            f"{GAP_RTOL} of the spectral scale"
+        )
+    return lam
 
 
 @dataclass(frozen=True)
@@ -101,22 +122,12 @@ class SpectralData:
     weights: np.ndarray
 
     def __post_init__(self):
-        lam = _readonly(self.eigenvalues)
+        lam = _spectrum(self.eigenvalues)
         w = _readonly(self.weights)
-        if not 2 <= lam.size <= MAX_SITES:
-            raise ValueError(
-                f"spectrum size must be between 2 and {MAX_SITES}, got {lam.size}"
-            )
         if w.size != lam.size:
             raise ValueError("eigenvalues and weights must have equal length")
-        if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(w))):
-            raise ValueError("spectral data must be finite")
-        scale = float(np.abs(lam).max())
-        if not np.all(np.diff(lam) > GAP_RTOL * scale):
-            raise ValueError(
-                "eigenvalues must be strictly increasing with gaps above "
-                f"{GAP_RTOL} of the spectral scale"
-            )
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite")
         if not np.all((w > 0.0) & (w < 1.0)):
             raise ValueError("weights must lie strictly inside (0, 1)")
         if abs(float(w.sum()) - 1.0) > 1e-12:
@@ -165,24 +176,23 @@ class AmplitudeSeries:
         object.__setattr__(self, "xN", xN)
 
 
-def _sturm_counts(diag, off2, shifts, pivmin):
-    """Number of eigenvalues strictly below each shift (vectorized)."""
-    count = np.zeros(shifts.shape, dtype=np.int64)
-    d = diag[0] - shifts
-    small = np.abs(d) < pivmin
-    if small.any():
-        d = np.where(small, -pivmin, d)
-    count += d < 0.0
-    for i in range(1, diag.size):
-        d = diag[i] - shifts - off2[i - 1] / d
-        small = np.abs(d) < pivmin
-        if small.any():
-            d = np.where(small, -pivmin, d)
-        count += d < 0.0
-    return count
+def _pivots(diag, off2, shifts, pivmin) -> np.ndarray:
+    """Guarded LDL^T pivots of T - sigma I, one row per site, per shift.
+
+    A pivot smaller in magnitude than ``pivmin`` is replaced by ``-pivmin``,
+    so the recurrence never divides by zero and a vanishing pivot counts as
+    negative in the Sturm sequence.
+    """
+    piv = np.empty((diag.size,) + np.shape(shifts))
+    for i in range(diag.size):
+        d = diag[i] - shifts
+        if i:
+            d = d - off2[i - 1] / piv[i - 1]
+        piv[i] = np.where(np.abs(d) < pivmin, -pivmin, d)
+    return piv
 
 
-def _bisect_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+def _bisect_eigenvalues(diag, off, off2, pivmin) -> np.ndarray:
     """All eigenvalues of the tridiagonal matrix, in increasing order.
 
     Bisection on the Sturm count converges every interval down to the last
@@ -190,7 +200,6 @@ def _bisect_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     spectral scale regardless of clustering.
     """
     n = diag.size
-    off2 = off * off
     radius = np.zeros(n)
     radius[:-1] += np.abs(off)
     radius[1:] += np.abs(off)
@@ -201,86 +210,47 @@ def _bisect_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     pad = 1e-3 * max(ghi - glo, 1.0)
     lo = np.full(n, glo - pad)
     hi = np.full(n, ghi + pad)
-    pivmin = np.finfo(float).tiny * max(1.0, float(off2.max()))
     want = np.arange(1, n + 1)
     for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         active = (mid > lo) & (mid < hi)
         if not active.any():
             break
-        counts = _sturm_counts(diag, off2, mid, pivmin)
+        counts = np.count_nonzero(_pivots(diag, off2, mid, pivmin) < 0.0, axis=0)
         go_down = counts >= want
         hi = np.where(active & go_down, mid, hi)
         lo = np.where(active & ~go_down, mid, lo)
     return 0.5 * (lo + hi)
 
 
-def _recurrence_vectors(diag, off, eigenvalues) -> np.ndarray:
-    """Unnormalized eigenvector components p_k(lambda_s), rows k, columns s."""
-    n = diag.size
-    p = np.empty((n, n))
-    p[0] = 1.0
-    p[1] = (eigenvalues - diag[0]) / off[0]
-    for k in range(1, n - 1):
-        p[k + 1] = ((eigenvalues - diag[k]) * p[k] - off[k - 1] * p[k - 1]) / off[k]
-    return p
+def _twisted_vectors(diag, off, off2, lam, pivmin) -> np.ndarray:
+    """Unit eigenvectors for all eigenvalues by twisted factorization.
 
-
-def _shifted_solve(diag, off, shift, rhs):
-    """Solve (T - shift I) x = rhs by LU with partial pivoting.
-
-    The shifted matrix is close to singular by construction (shift is an
-    eigenvalue), so vanishing pivots are nudged to the smallest safe value;
-    the resulting huge solution components are exactly what inverse
-    iteration wants.
+    The forward pivots d and backward pivots r of T - lambda I meet at the
+    twist index k where |d_k + r_k - (a_k - lambda)| is smallest, which is
+    where the eigenvector is largest (Dhillon & Parlett 2004).  From z_k = 1
+    the components follow outward as z_i = -(b_i / d_i) z_{i+1} above the
+    twist and z_i = -(b_{i-1} / r_i) z_{i-1} below it.
     """
-    n = diag.size
-    dd = diag - shift
-    dl = off.copy()
-    du = off.copy()
-    du2 = np.zeros(n)
-    b = np.array(rhs, dtype=float)
-    floor = np.finfo(float).eps * (
-        float(np.abs(dd).max()) + 2.0 * float(np.abs(off).max())
-    )
-    floor = max(floor, np.finfo(float).tiny)
-    tiny = np.finfo(float).tiny
-    for i in range(n - 1):
-        if abs(dd[i]) >= abs(dl[i]):
-            if abs(dd[i]) < tiny:
-                dd[i] = floor
-            m = dl[i] / dd[i]
-            dd[i + 1] -= m * du[i]
-            b[i + 1] -= m * b[i]
-        else:
-            m = dd[i] / dl[i]
-            dd[i] = dl[i]
-            dd[i + 1], du[i] = du[i] - m * dd[i + 1], dd[i + 1]
-            if i < n - 2:
-                du2[i] = du[i + 1]
-                du[i + 1] = -m * du[i + 1]
-            b[i], b[i + 1] = b[i + 1], b[i] - m * b[i + 1]
-    if abs(dd[n - 1]) < tiny:
-        dd[n - 1] = floor
-    x = np.empty(n)
-    x[n - 1] = b[n - 1] / dd[n - 1]
-    if n > 1:
-        x[n - 2] = (b[n - 2] - du[n - 2] * x[n - 1]) / dd[n - 2]
-    for i in range(n - 3, -1, -1):
-        x[i] = (b[i] - du[i] * x[i + 1] - du2[i] * x[i + 2]) / dd[i]
-    return x
-
-
-def _tridiag_residual(diag, off, lam_s, v) -> float:
-    r = (diag - lam_s) * v
-    r[:-1] += off * v[1:]
-    r[1:] += off * v[:-1]
-    return float(np.abs(r).max())
+    d = _pivots(diag, off2, lam, pivmin)
+    r = _pivots(diag[::-1], off2[::-1], lam, pivmin)[::-1]
+    twist = np.argmin(np.abs(d + r - (diag[:, None] - lam)), axis=0)
+    up = -off[:, None] / d[:-1]
+    down = -off[:, None] / r[1:]
+    z = np.ones_like(d)
+    for i in range(diag.size - 2, -1, -1):
+        z[i] = np.where(i < twist, up[i] * z[i + 1], z[i])
+    for i in range(1, diag.size):
+        z[i] = np.where(i > twist, down[i - 1] * z[i - 1], z[i])
+    return z / np.linalg.norm(z, axis=0)
 
 
 def _eigensystem(J: JacobiMatrix) -> tuple[SpectralData, np.ndarray]:
     """Spectral data plus the full orthonormal eigenvector matrix."""
-    lam = _bisect_eigenvalues(J.diag, J.offdiag)
+    diag, off = J.diag, J.offdiag
+    off2 = off * off
+    pivmin = np.finfo(float).tiny * max(1.0, float(off2.max()))
+    lam = _bisect_eigenvalues(diag, off, off2, pivmin)
     if not np.all(np.isfinite(lam)):
         bad = int(np.nonzero(~np.isfinite(lam))[0][0])
         raise EigensolverError(
@@ -296,21 +266,7 @@ def _eigensystem(J: JacobiMatrix) -> tuple[SpectralData, np.ndarray]:
             f"(gap {gaps[tight[0]]:.3e} at scale {scale:.3e})",
             index=bad,
         )
-    p = _recurrence_vectors(J.diag, J.offdiag, lam)
-    norms = np.sqrt(np.sum(p * p, axis=0))
-    vectors = p / norms
-    # The recurrence seed is already exact for extended eigenvectors; for
-    # localized ones it loses accuracy, so polish by inverse iteration
-    # until the eigenpair residual sits at working precision.
-    target = 1e-13 * max(scale, np.finfo(float).tiny)
-    for s in range(lam.size):
-        v = vectors[:, s]
-        for _ in range(3):
-            if _tridiag_residual(J.diag, J.offdiag, lam[s], v) <= target:
-                break
-            x = _shifted_solve(J.diag, J.offdiag, lam[s], v)
-            v = x / np.linalg.norm(x)
-        vectors[:, s] = v
+    vectors = _twisted_vectors(diag, off, off2, lam, pivmin)
     weights = vectors[0] ** 2
     weights = weights / weights.sum()
     return SpectralData(eigenvalues=lam, weights=weights), vectors
@@ -319,9 +275,11 @@ def _eigensystem(J: JacobiMatrix) -> tuple[SpectralData, np.ndarray]:
 def eigendecompose(J: JacobiMatrix) -> SpectralData:
     """Eigenvalues (increasing) and first-component weights of the wire.
 
-    Weights are renormalized to sum to exactly 1; couplings > 0 guarantee
-    the spectrum is simple, and a computed gap below the simplicity
-    tolerance raises :class:`EigensolverError` with the offending index.
+    Eigenvalues come from Sturm bisection, eigenvectors from twisted
+    factorization; weights are the squared first components, renormalized
+    to sum to exactly 1.  Couplings > 0 guarantee the spectrum is simple,
+    and a computed gap below the simplicity tolerance raises
+    :class:`EigensolverError` with the offending index.
     """
     sd, _ = _eigensystem(J)
     return sd

@@ -117,19 +117,30 @@ class TestEigendecompose:
             assert np.abs(sd.eigenvalues - lam_ref).max() < 1e-12 * scale
             assert np.abs(sd.weights - vec_ref[0] ** 2).max() < 1e-11
 
-    def test_eigenpair_residuals(self):
-        rng = np.random.default_rng(11)
+    @pytest.mark.parametrize(
+        "seed,max_sites,diag_range,off_range",
+        [
+            (11, 30, 3.0, (0.1, 2.0)),
+            # strongly localized eigenvectors: large on-site disorder, weak
+            # couplings
+            (31, 42, 10.0, (0.05, 1.0)),
+        ],
+        ids=["generic", "localized"],
+    )
+    def test_eigenpair_residuals(self, seed, max_sites, diag_range, off_range):
+        rng = np.random.default_rng(seed)
         for _ in range(10):
-            n = int(rng.integers(2, 30))
+            n = int(rng.integers(2, max_sites))
             J = JacobiMatrix(
-                diag=rng.uniform(-3, 3, size=n),
-                offdiag=rng.uniform(0.1, 2.0, size=n - 1),
+                diag=rng.uniform(-diag_range, diag_range, size=n),
+                offdiag=rng.uniform(*off_range, size=n - 1),
             )
             sd, vectors = _eigensystem(J)
             dense = J.to_dense()
             norm = np.abs(sd.eigenvalues).max()
             residual = np.abs(dense @ vectors - vectors * sd.eigenvalues).max()
-            assert residual <= 1e-10 * norm
+            assert residual <= 1e-14 * max(1.0, norm)
+            assert np.abs(vectors.T @ vectors - np.eye(n)).max() <= 1e-12
 
     def test_rejects_numerically_degenerate(self):
         # two nearly decoupled blocks give an eigenvalue gap below tolerance
