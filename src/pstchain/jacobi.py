@@ -15,12 +15,18 @@ that join the forward and backward pivots at the eigenvalue, one sweep each
 way for all eigenvalues at once.  For the supported sizes (at most
 ``MAX_SITES`` sites) and simple, well separated spectra this gives
 eigenpair residuals and weights at working precision, also for strongly
-localized eigenvectors.
+localized eigenvectors.  The solver works on the wire scaled by a power of
+two, which is exact, so wires that differ only in scale are solved alike.
+
+A wire is solved once per ``JacobiMatrix`` instance: the spectral data and
+the read-only eigenvector matrix are kept on the instance on first use and
+shared by ``eigendecompose`` and every ``full_evolution_column`` call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal
 
 import numpy as np
@@ -98,6 +104,12 @@ class JacobiMatrix:
     @property
     def n_sites(self) -> int:
         return int(self.diag.size)
+
+    @cached_property
+    def _spectral(self) -> tuple[SpectralData, np.ndarray]:
+        # The instance and its arrays are immutable, so one solve serves
+        # every later query; the cache lives and dies with the instance.
+        return _eigensystem(self)
 
     def to_dense(self) -> np.ndarray:
         """Dense (n_sites x n_sites) array, mainly for tests and debugging."""
@@ -195,9 +207,13 @@ def _pivots(diag, off2, shifts, pivmin) -> np.ndarray:
 def _bisect_eigenvalues(diag, off, off2, pivmin) -> np.ndarray:
     """All eigenvalues of the tridiagonal matrix, in increasing order.
 
-    Bisection on the Sturm count converges every interval down to the last
-    representable bit, so the result is accurate to a few ulps of the
-    spectral scale regardless of clustering.
+    Bisection on the Sturm count halves every interval until its width is
+    at most max(atol, 2 eps max(|lo|, |hi|)), with atol = eps times the
+    larger Gershgorin bound (Kahan's stopping rule, as in LAPACK
+    ``dstebz``).  Each eigenvalue is then accurate to about eps times the
+    spectral scale, and an eigenvalue at or near zero stops after about
+    as many sweeps as any other.  Intervals that can no longer be split in
+    floating point also stop, and the sweep budget bounds the loop.
     """
     n = diag.size
     radius = np.zeros(n)
@@ -205,21 +221,23 @@ def _bisect_eigenvalues(diag, off, off2, pivmin) -> np.ndarray:
     radius[1:] += np.abs(off)
     glo = float(np.min(diag - radius))
     ghi = float(np.max(diag + radius))
-    if not (np.isfinite(glo) and np.isfinite(ghi)):
-        raise EigensolverError("matrix entries produced non-finite bounds")
-    pad = 1e-3 * max(ghi - glo, 1.0)
+    eps = np.finfo(float).eps
+    atol = eps * max(abs(glo), abs(ghi))
+    pad = 1e-3 * (ghi - glo)
     lo = np.full(n, glo - pad)
     hi = np.full(n, ghi + pad)
     want = np.arange(1, n + 1)
     for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        active = (mid > lo) & (mid < hi)
-        if not active.any():
+        width = np.maximum(atol, 2.0 * eps * np.maximum(np.abs(lo), np.abs(hi)))
+        active = np.nonzero((hi - lo > width) & (mid > lo) & (mid < hi))[0]
+        if not active.size:
             break
-        counts = np.count_nonzero(_pivots(diag, off2, mid, pivmin) < 0.0, axis=0)
-        go_down = counts >= want
-        hi = np.where(active & go_down, mid, hi)
-        lo = np.where(active & ~go_down, mid, lo)
+        shifts = mid[active]
+        counts = np.count_nonzero(_pivots(diag, off2, shifts, pivmin) < 0.0, axis=0)
+        go_down = counts >= want[active]
+        hi[active] = np.where(go_down, shifts, hi[active])
+        lo[active] = np.where(go_down, lo[active], shifts)
     return 0.5 * (lo + hi)
 
 
@@ -246,15 +264,23 @@ def _twisted_vectors(diag, off, off2, lam, pivmin) -> np.ndarray:
 
 
 def _eigensystem(J: JacobiMatrix) -> tuple[SpectralData, np.ndarray]:
-    """Spectral data plus the full orthonormal eigenvector matrix."""
-    diag, off = J.diag, J.offdiag
+    """Spectral data plus the full orthonormal eigenvector matrix (read-only).
+
+    The solve runs on the wire scaled by 2^-e, with 2^e just above its
+    largest entry: the scaling is exact, keeps b^2 from overflowing or
+    underflowing, and leaves the eigenvectors unchanged.
+    """
+    _, e = np.frexp(max(np.abs(J.diag).max(), J.offdiag.max()))
+    diag, off = np.ldexp(J.diag, -e), np.ldexp(J.offdiag, -e)
     off2 = off * off
-    pivmin = np.finfo(float).tiny * max(1.0, float(off2.max()))
-    lam = _bisect_eigenvalues(diag, off, off2, pivmin)
+    pivmin = np.finfo(float).tiny  # LAPACK's tiny * max(1, b^2), as b^2 < 1
+    mu = _bisect_eigenvalues(diag, off, off2, pivmin)
+    with np.errstate(over="ignore"):
+        lam = np.ldexp(mu, e)
     if not np.all(np.isfinite(lam)):
         bad = int(np.nonzero(~np.isfinite(lam))[0][0])
         raise EigensolverError(
-            f"eigenvalue {bad} did not converge", index=bad
+            f"eigenvalue {bad} overflows: matrix entries are too large", index=bad
         )
     scale = float(np.abs(lam).max())
     gaps = np.diff(lam)
@@ -266,7 +292,8 @@ def _eigensystem(J: JacobiMatrix) -> tuple[SpectralData, np.ndarray]:
             f"(gap {gaps[tight[0]]:.3e} at scale {scale:.3e})",
             index=bad,
         )
-    vectors = _twisted_vectors(diag, off, off2, lam, pivmin)
+    vectors = _twisted_vectors(diag, off, off2, mu, pivmin)
+    vectors.setflags(write=False)
     weights = vectors[0] ** 2
     weights = weights / weights.sum()
     return SpectralData(eigenvalues=lam, weights=weights), vectors
@@ -279,10 +306,11 @@ def eigendecompose(J: JacobiMatrix) -> SpectralData:
     factorization; weights are the squared first components, renormalized
     to sum to exactly 1.  Couplings > 0 guarantee the spectrum is simple,
     and a computed gap below the simplicity tolerance raises
-    :class:`EigensolverError` with the offending index.
+    :class:`EigensolverError` with the offending index.  The wire is solved
+    once per instance; later calls, and ``full_evolution_column`` on the
+    same instance, reuse that solve.
     """
-    sd, _ = _eigensystem(J)
-    return sd
+    return J._spectral[0]
 
 
 def check_persymmetry(J: JacobiMatrix, tol: float = 1e-12) -> PersymmetryReport:
@@ -346,7 +374,11 @@ def amplitude_series(
 
 
 def full_evolution_column(J: JacobiMatrix, t: float) -> np.ndarray:
-    """All components of exp(-iJt) e_0 via the full eigendecomposition."""
-    sd, vectors = _eigensystem(J)
+    """All components of exp(-iJt) e_0 via the full eigendecomposition.
+
+    The eigendecomposition is computed once per instance and shared with
+    ``eigendecompose``, so each further time costs one matrix-vector product.
+    """
+    sd, vectors = J._spectral
     phases = np.exp(-1j * sd.eigenvalues * float(t))
     return vectors @ (phases * vectors[0])

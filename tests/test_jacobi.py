@@ -19,6 +19,7 @@ from pstchain import (
     full_evolution_column,
     krawtchouk_chain,
 )
+from pstchain import jacobi
 from pstchain.jacobi import _eigensystem
 
 
@@ -35,6 +36,19 @@ def random_persymmetric(rng, n):
         gaps = np.diff(sd.eigenvalues)
         if gaps.min() > 1e-6 * np.abs(sd.eigenvalues).max():
             return J
+
+
+def count_calls(monkeypatch, name):
+    """Record every call of the private jacobi helper ``name``."""
+    calls = []
+    original = getattr(jacobi, name)
+
+    def counting(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(jacobi, name, counting)
+    return calls
 
 
 def four_site_example():
@@ -142,6 +156,31 @@ class TestEigendecompose:
             assert residual <= 1e-14 * max(1.0, norm)
             assert np.abs(vectors.T @ vectors - np.eye(n)).max() <= 1e-12
 
+    @pytest.mark.parametrize("k", [-250, -150, -100, -50, 50, 150, 200, 300])
+    def test_scaled_wire(self, k):
+        # 41 sites, weights down to 2^-40 and an eigenvalue at 0
+        J = krawtchouk_chain(40)
+        c = 10.0**k
+        ref = eigendecompose(J)
+        sd = eigendecompose(JacobiMatrix(diag=c * J.diag, offdiag=c * J.offdiag))
+        scale = c * np.abs(ref.eigenvalues).max()
+        eps = np.finfo(float).eps
+        assert np.abs(sd.eigenvalues - c * ref.eigenvalues).max() <= 4 * eps * scale
+        assert np.abs(sd.weights / ref.weights - 1.0).max() <= 1e-13
+
+    def test_rejects_overflowing_spectrum(self):
+        huge = np.finfo(float).max
+        with pytest.raises(EigensolverError, match="too large"):
+            eigendecompose(JacobiMatrix(diag=[huge, huge], offdiag=[huge]))
+
+    @pytest.mark.parametrize("N", range(2, 41, 2))
+    def test_bisection_sweeps_odd_krawtchouk(self, N, monkeypatch):
+        # odd site counts put an eigenvalue at exactly 0
+        calls = count_calls(monkeypatch, "_pivots")
+        eigendecompose(krawtchouk_chain(N))
+        # the twisted factorization adds one forward and one backward sweep
+        assert len(calls) - 2 <= 64
+
     def test_rejects_numerically_degenerate(self):
         # two nearly decoupled blocks give an eigenvalue gap below tolerance
         diag = np.array([0.0, 0.0, 0.0, 0.0])
@@ -149,6 +188,49 @@ class TestEigendecompose:
         with pytest.raises(EigensolverError) as info:
             eigendecompose(JacobiMatrix(diag=diag, offdiag=off))
         assert info.value.index is not None
+
+
+class TestSolveOnce:
+    def test_one_solve_per_instance(self, monkeypatch):
+        calls = count_calls(monkeypatch, "_bisect_eigenvalues")
+        J = krawtchouk_chain(12)
+        eigendecompose(J)
+        for t in (0.0, 0.5, 1.0, math.pi, 7.0):
+            full_evolution_column(J, t)
+        assert len(calls) == 1
+
+    def test_equal_instance_solves_again(self, monkeypatch):
+        calls = count_calls(monkeypatch, "_bisect_eigenvalues")
+        J = krawtchouk_chain(12)
+        eigendecompose(J)
+        eigendecompose(JacobiMatrix(diag=J.diag, offdiag=J.offdiag))
+        assert len(calls) == 2
+
+    def test_cached_outputs_match_fresh_solve(self):
+        rng = np.random.default_rng(7)
+        n = 25
+        J = JacobiMatrix(
+            diag=rng.uniform(-3, 3, size=n), offdiag=rng.uniform(0.1, 2.0, size=n - 1)
+        )
+        first = eigendecompose(J)
+        col = full_evolution_column(J, 2.5)
+        again = eigendecompose(J)
+        fresh, vectors = _eigensystem(JacobiMatrix(diag=J.diag, offdiag=J.offdiag))
+        for sd in (first, again):
+            assert np.array_equal(sd.eigenvalues, fresh.eigenvalues)
+            assert np.array_equal(sd.weights, fresh.weights)
+        phases = np.exp(-1j * fresh.eigenvalues * 2.5)
+        assert np.array_equal(col, vectors @ (phases * vectors[0]))
+
+    def test_cached_arrays_are_read_only(self):
+        J = krawtchouk_chain(5)
+        sd = eigendecompose(J)
+        full_evolution_column(J, 1.0)
+        _, vectors = J._spectral
+        for arr in (sd.eigenvalues, sd.weights, vectors):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        assert np.array_equal(eigendecompose(J).weights, sd.weights)
 
 
 class TestCheckPersymmetry:
