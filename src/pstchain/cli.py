@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -43,14 +43,6 @@ class RunManifest:
         for path in self.outputs:
             if not (os.path.isfile(path) and os.path.getsize(path) > 0):
                 raise ValueError(f"declared output {path} is missing or empty")
-
-    def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": self.inputs,
-            "outputs": list(self.outputs),
-            "tool_version": self.tool_version,
-        }
 
 
 def _write(path: str, text: str) -> None:
@@ -103,14 +95,7 @@ def _certificate_dict(cert: PstCertificate) -> dict:
 
 def _ese_dict(report: EseReport) -> dict:
     return {
-        "zeros": [
-            {
-                "time": zero.time,
-                "residual": zero.residual,
-                "last_site_modulus": zero.last_site_modulus,
-            }
-            for zero in report.zeros
-        ],
+        "zeros": [asdict(zero) for zero in report.zeros],
         "unresolved": list(report.unresolved),
         "early_pst_anomalies": list(report.early_pst_anomalies),
         "scan_resolution": report.scan_resolution,
@@ -156,18 +141,12 @@ def cmd_construct(args: argparse.Namespace) -> RunManifest:
         chain = krawtchouk_chain(args.N)
     else:
         chain = reconstruct_jacobi(sd)
-    persymmetry = check_persymmetry(chain, 1e-12)
     cert = detect_pst(request, args.tol)
     document = {
         "spectrum": sd.eigenvalues,
         "weights": sd.weights,
         "matrix": {"diag": chain.diag, "offdiag": chain.offdiag},
-        "persymmetry": {
-            "is_persymmetric": persymmetry.is_persymmetric,
-            "max_diag_asymmetry": persymmetry.max_diag_asymmetry,
-            "max_offdiag_asymmetry": persymmetry.max_offdiag_asymmetry,
-            "tolerance": persymmetry.tolerance,
-        },
+        "persymmetry": asdict(check_persymmetry(chain, 1e-12)),
         "pst": _certificate_dict(cert),
     }
     _write(args.out, dumps(document))
@@ -301,7 +280,7 @@ def main(argv=None) -> int:
     except ChainError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    sys.stdout.write(dumps(manifest.as_dict()))
+    sys.stdout.write(dumps(asdict(manifest)))
     return 0
 
 

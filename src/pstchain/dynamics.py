@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import PstUndecidableError
 from .inverse import SpectrumRequest, persymmetric_weights
-from .jacobi import SpectralData, amplitude, amplitude_values
+from .jacobi import SpectralData, _frame, amplitude, amplitude_values
 
 # Largest odd-integer index admitted in the transfer-time search.
 _ODD_CAP = 10_000
@@ -243,8 +243,8 @@ def detect_ese(
     if not cert.has_pst:
         raise ValueError("certificate does not certify perfect state transfer")
     lam = np.asarray(cert.eigenvalues)
-    scale = float(np.abs(lam).max())
-    if sd.n_sites != lam.size or np.abs(sd.eigenvalues - lam).max() > 1e-8 * scale:
+    limit = math.ldexp(1e-8, _frame(lam)[1])
+    if sd.n_sites != lam.size or np.abs(sd.eigenvalues - lam).max() > limit:
         raise ValueError("spectral data is inconsistent with the certificate")
     transfer_time = float(cert.transfer_time)
     eps = 1e-6 * transfer_time

@@ -7,7 +7,9 @@ the sign of the product over an increasing sequence.  Reconstruction then
 runs the symmetric Lanczos process on the diagonal matrix of eigenvalues
 with starting vector (sqrt(w_0), ..., sqrt(w_N)), i.e. a discrete
 Stieltjes orthogonalization against the measure sum_s w_s delta_{l_s},
-with full reorthogonalization at every step.
+with full reorthogonalization at every step.  It runs on (l_s - c) 2^-e in
+the frame of ``jacobi._frame`` and maps the wire back: no scale under- or
+overflows, no shift costs digits, and its tolerances are plain constants.
 """
 
 from __future__ import annotations
@@ -17,14 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ReconstructionError, WeightInconsistencyError
-from .jacobi import JacobiMatrix, SpectralData, _spectrum
+from .jacobi import JacobiMatrix, SpectralData, _frame, _spectrum
 
-# Lanczos residual norms at or below this fraction of the spectral scale
-# mean the measure has effectively fewer support points than requested.
+# Lanczos residual norms (in the unit frame) at or below this mean the
+# measure has effectively fewer support points than requested.
 _BREAKDOWN_RTOL = 1e-12
 
-# Offdiagonal asymmetry beyond this is a real failure, not round-off, and
-# must not be averaged away.
+# Offdiagonal asymmetry (in the unit frame) beyond this is a real failure,
+# not round-off, and must not be averaged away.
 _SYMMETRIZE_LIMIT = 1e-6
 
 
@@ -74,12 +76,12 @@ def reconstruct_jacobi(sd: SpectralData) -> JacobiMatrix:
     Lanczos with full (double) reorthogonalization recovers the recurrence
     coefficients of the discrete measure; the exact answer for
     mirror-symmetric weights is persymmetric, so residual coupling
-    asymmetry below ``1e-6`` is averaged away and anything larger raises
-    :class:`ReconstructionError`.
+    asymmetry below ``1e-6`` of the half-span (rounded up to a power of two)
+    is averaged away and anything larger raises :class:`ReconstructionError`.
     """
-    lam = sd.eigenvalues
+    c, e = _frame(sd.eigenvalues)
+    lam = np.ldexp(sd.eigenvalues - c, -e)
     n = lam.size
-    scale = float(np.abs(lam).max())
     diag = np.zeros(n)
     off = np.zeros(n - 1)
     basis = np.zeros((n, n))
@@ -97,20 +99,19 @@ def reconstruct_jacobi(sd: SpectralData) -> JacobiMatrix:
             u -= span @ (span.T @ u)
         if k < n - 1:
             norm = float(np.linalg.norm(u))
-            if not norm > _BREAKDOWN_RTOL * scale:
+            if not norm > _BREAKDOWN_RTOL:
                 raise ReconstructionError(
                     f"orthogonalization broke down at step {k}: residual norm "
-                    f"{norm:.3e} at scale {scale:.3e}",
+                    f"{norm:.3e} of the half-span",
                     step=k,
                 )
             off[k] = norm
             q = u / norm
     asym = float(np.abs(off - off[::-1]).max())
-    if asym >= _SYMMETRIZE_LIMIT * max(1.0, scale):
+    if asym >= _SYMMETRIZE_LIMIT:
         raise ReconstructionError(
-            f"reconstructed couplings are asymmetric by {asym:.3e}, beyond "
-            "round-off for a persymmetric target"
+            f"reconstructed couplings are asymmetric by {asym:.3e} of the "
+            "half-span, beyond round-off for a persymmetric target"
         )
     off = 0.5 * (off + off[::-1])
-    return JacobiMatrix(diag=diag, offdiag=off)
-
+    return JacobiMatrix(diag=c + np.ldexp(diag, e), offdiag=np.ldexp(off, e))

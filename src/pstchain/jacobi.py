@@ -15,8 +15,12 @@ that join the forward and backward pivots at the eigenvalue, one sweep each
 way for all eigenvalues at once.  For the supported sizes (at most
 ``MAX_SITES`` sites) and simple, well separated spectra this gives
 eigenpair residuals and weights at working precision, also for strongly
-localized eigenvectors.  The solver works on the wire scaled by a power of
-two, which is exact, so wires that differ only in scale are solved alike.
+localized eigenvectors.
+
+The kernels work in one affine frame, ``_frame``: on (lambda - c) 2^-e,
+with c the midpoint and 2^e the power of two above the half-span (the
+solver centres on its diagonal), or on lambda - c alone.  A shift or scale
+thus leaves their results alone; symmetric spectra have c = 0 exactly.
 
 A wire is solved once per ``JacobiMatrix`` instance: the spectral data and
 the read-only eigenvector matrix are kept on the instance on first use and
@@ -25,6 +29,7 @@ shared by ``eigendecompose`` and every ``full_evolution_column`` call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Literal
@@ -53,6 +58,12 @@ def _readonly(values, dtype=float) -> np.ndarray:
         raise ValueError("expected a one-dimensional sequence")
     arr.setflags(write=False)
     return arr
+
+
+def _frame(spectrum) -> tuple[float, int]:
+    """Midpoint c and exponent e with |lambda - c| <= 2^e on a sorted spectrum."""
+    lo, hi = float(spectrum[0]), float(spectrum[-1])
+    return 0.5 * lo + 0.5 * hi, math.frexp(0.5 * hi - 0.5 * lo)[1]
 
 
 def _spectrum(values) -> np.ndarray:
@@ -111,16 +122,6 @@ class JacobiMatrix:
         # every later query; the cache lives and dies with the instance.
         return _eigensystem(self)
 
-    def to_dense(self) -> np.ndarray:
-        """Dense (n_sites x n_sites) array, mainly for tests and debugging."""
-        n = self.n_sites
-        dense = np.zeros((n, n))
-        idx = np.arange(n)
-        dense[idx, idx] = self.diag
-        dense[idx[:-1], idx[1:]] = self.offdiag
-        dense[idx[1:], idx[:-1]] = self.offdiag
-        return dense
-
 
 @dataclass(frozen=True)
 class SpectralData:
@@ -150,6 +151,12 @@ class SpectralData:
     @property
     def n_sites(self) -> int:
         return int(self.eigenvalues.size)
+
+    @cached_property
+    def _centred(self) -> tuple[float, np.ndarray]:
+        # the frame's midpoint c and lambda - c, shared by every evaluation
+        c, _ = _frame(self.eigenvalues)
+        return c, self.eigenvalues - c
 
 
 @dataclass(frozen=True)
@@ -266,17 +273,18 @@ def _twisted_vectors(diag, off, off2, lam, pivmin) -> np.ndarray:
 def _eigensystem(J: JacobiMatrix) -> tuple[SpectralData, np.ndarray]:
     """Spectral data plus the full orthonormal eigenvector matrix (read-only).
 
-    The solve runs on the wire scaled by 2^-e, with 2^e just above its
-    largest entry: the scaling is exact, keeps b^2 from overflowing or
-    underflowing, and leaves the eigenvectors unchanged.
+    The solve runs on (J - c) 2^-e, c the diagonal's midpoint and 2^e above
+    every entry of J - c: this keeps b^2 from overflowing or underflowing
+    and leaves the eigenvectors, hence a shifted wire's weights, unchanged.
     """
-    _, e = np.frexp(max(np.abs(J.diag).max(), J.offdiag.max()))
-    diag, off = np.ldexp(J.diag, -e), np.ldexp(J.offdiag, -e)
+    c, _ = _frame((J.diag.min(), J.diag.max()))
+    _, e = np.frexp(max(np.abs(J.diag - c).max(), J.offdiag.max()))
+    diag, off = np.ldexp(J.diag - c, -e), np.ldexp(J.offdiag, -e)
     off2 = off * off
     pivmin = np.finfo(float).tiny  # LAPACK's tiny * max(1, b^2), as b^2 < 1
     mu = _bisect_eigenvalues(diag, off, off2, pivmin)
     with np.errstate(over="ignore"):
-        lam = np.ldexp(mu, e)
+        lam = c + np.ldexp(mu, e)
     if not np.all(np.isfinite(lam)):
         bad = int(np.nonzero(~np.isfinite(lam))[0][0])
         raise EigensolverError(
@@ -296,6 +304,12 @@ def _eigensystem(J: JacobiMatrix) -> tuple[SpectralData, np.ndarray]:
     vectors.setflags(write=False)
     weights = vectors[0] ** 2
     weights = weights / weights.sum()
+    if not np.all((weights > 0.0) & (weights < 1.0)):
+        bad = int(np.argmin(weights))
+        raise EigensolverError(
+            f"weight {bad} ({weights[bad]:.3e}) is lost at working precision: "
+            "the first site is too weakly coupled", index=bad
+        )
     return SpectralData(eigenvalues=lam, weights=weights), vectors
 
 
@@ -340,11 +354,17 @@ def _boundary_coefficients(sd: SpectralData, site: Site) -> np.ndarray:
 
 
 def amplitude_values(sd: SpectralData, times, site: Site = "first") -> np.ndarray:
-    """Boundary amplitude at every entry of ``times`` (vectorized)."""
+    """Boundary amplitude at every entry of ``times`` (vectorized).
+
+    Sums exp(-i (lambda_s - c) t) about the midpoint c and applies exp(-i c t)
+    once, so a shift of the spectrum costs |x| no precision.
+    """
     t = np.atleast_1d(np.asarray(times, dtype=float))
-    coeff = _boundary_coefficients(sd, site)
-    phases = np.exp(-1j * t[:, None] * sd.eigenvalues[None, :])
-    return phases @ coeff
+    c, lam = sd._centred
+    values = np.exp(-1j * t[:, None] * lam[None, :]) @ _boundary_coefficients(sd, site)
+    if c:
+        values *= np.exp(-1j * c * t)
+    return values
 
 
 def amplitude(sd: SpectralData, site: Site, t: float) -> complex:

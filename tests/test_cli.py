@@ -49,11 +49,12 @@ def cli_transcript(construct_args, workdir: Path) -> dict[str, bytes]:
     """
     doc = workdir / "construct.json"
     span = ["--t0", "0", "--t1", repr(math.pi)]
+    series = ["evolve", "--in", doc, *span, "--steps", "101", "--format"]
     invocations = {
         "construct.json": ["construct", *construct_args],
         "analyze.json": ["analyze", "--in", doc],
-        "evolve.csv": ["evolve", "--in", doc, *span, "--steps", "101", "--format", "csv"],
-        "evolve.json": ["evolve", "--in", doc, *span, "--steps", "101", "--format", "json"],
+        "evolve.csv": [*series, "csv"],
+        "evolve.json": [*series, "json"],
         "plot.svg": ["plot", "--in", doc, *span],
     }
     runs = []
@@ -198,6 +199,16 @@ class TestAnalyze:
         parsed = json.loads(report.read_text())
         assert parsed["pst"]["has_pst"] is True
         assert parsed["pst"]["transfer_time"] == pytest.approx(math.pi / 2)
+
+    def test_weakly_coupled_matrix_is_numerical_failure(self, tmp_path, capsys):
+        doc = tmp_path / "m.json"
+        doc.write_text(
+            json.dumps({"matrix": {"diag": [1.0, 0.0], "offdiag": [1e-9]}})
+        )
+        report = tmp_path / "report.json"
+        assert main(["analyze", "--in", str(doc), "--out", str(report)]) == 3
+        assert "numerical failure: weight 0" in capsys.readouterr().err
+        assert not report.exists()
 
 
 class TestEvolve:

@@ -41,6 +41,14 @@ def golden_id(case):
 
 GOLDEN_CASES = json.loads(GOLDEN_ESE.read_text())["cases"]
 
+SHIFTED_SPECTRA = {
+    "surgery-3": surgery_spectrum(3),
+    "krawtchouk-40": SpectrumRequest(np.arange(41.0) - 20.0),
+    "surgery-39": surgery_spectrum(39),
+    "gap-10-5": gap_family_spectrum(10, 5),
+    "gap-20-9": gap_family_spectrum(20, 9),
+}
+
 
 def four_site_data():
     req = surgery_spectrum(3)
@@ -205,17 +213,23 @@ class TestDetectEse:
             for a, b in zip(scaled.zeros, base.zeros):
                 assert a.time == pytest.approx(b.time / sigma, rel=1e-9)
 
-    def test_shift_leaves_zero_set(self):
-        # a uniform spectral shift only multiplies x0 by a unit phase
-        req, sd = four_site_data()
-        base = detect_ese(sd, detect_pst(req))
-        shifted_req = SpectrumRequest(req.eigenvalues + 2.25)
-        shifted = detect_ese(
-            persymmetric_weights(shifted_req), detect_pst(shifted_req)
-        )
+    @pytest.mark.parametrize(
+        "name,shift",
+        [("surgery-3", 2.25)]
+        + [(name, shift) for name in SHIFTED_SPECTRA for shift in (1e3, 1e7, 1e9)],
+        ids=lambda v: v if isinstance(v, str) else f"{v:g}",
+    )
+    def test_shift_leaves_zero_set(self, name, shift):
+        # a uniform spectral shift only multiplies x0 by a unit phase; the
+        # 4-site exemplar keeps its zero at arccos(2/3) at every shift
+        req = SHIFTED_SPECTRA[name]
+        base = detect_ese(persymmetric_weights(req), detect_pst(req))
+        shifted_req = SpectrumRequest(req.eigenvalues + shift)
+        cert = detect_pst(shifted_req)
+        shifted = detect_ese(persymmetric_weights(shifted_req), cert)
         assert len(shifted.zeros) == len(base.zeros)
         for a, b in zip(shifted.zeros, base.zeros):
-            assert a.time == pytest.approx(b.time, abs=1e-10)
+            assert abs(a.time - b.time) <= 1e-12 * cert.transfer_time
 
     def test_nonconvergent_refinement_is_reported(self, monkeypatch):
         req, sd = four_site_data()

@@ -29,6 +29,13 @@ def symmetric_spectrum(rng, npts):
     return np.concatenate([-pos[::-1], [0.0], pos])
 
 
+NAMED_41_SITES = {
+    "gap-20-9": gap_family_spectrum(20, 9),
+    "surgery-39": surgery_spectrum(39),
+    "krawtchouk-40": SpectrumRequest(np.arange(41.0) - 20.0),
+}
+
+
 def oracle_weights(lam):
     """Direct product-formula weights, no log-space tricks (test oracle)."""
     lam = np.asarray(lam, dtype=float)
@@ -148,15 +155,32 @@ class TestReconstructJacobi:
             J = reconstruct_jacobi(persymmetric_weights(SpectrumRequest(lam)))
             assert check_persymmetry(J, 1e-8).is_persymmetric
 
-    def test_shift_covariance(self):
-        lam = np.array([-2.5, -1.5, 1.5, 2.5])
-        base = reconstruct_jacobi(persymmetric_weights(SpectrumRequest(lam)))
-        for shift in (-4.2, 0.9, 3.7):
-            moved = reconstruct_jacobi(
-                persymmetric_weights(SpectrumRequest(lam + shift))
+    @pytest.mark.parametrize(
+        "req,shift",
+        [(surgery_spectrum(3), shift) for shift in (-4.2, 0.9, 3.7)]
+        + [(req, 1e7) for req in NAMED_41_SITES.values()],
+        ids=["surgery-3--4.2", "surgery-3-0.9", "surgery-3-3.7"]
+        + [f"{name}-1e7" for name in NAMED_41_SITES],
+    )
+    def test_shift_covariance(self, req, shift):
+        lam = req.eigenvalues
+        base = reconstruct_jacobi(persymmetric_weights(req))
+        moved = reconstruct_jacobi(persymmetric_weights(SpectrumRequest(lam + shift)))
+        half_span = 0.5 * (lam[-1] - lam[0])
+        assert np.abs(moved.diag - base.diag - shift).max() <= 1e-13 * half_span
+        assert np.abs(moved.offdiag / base.offdiag - 1.0).max() <= 1e-13
+
+    @pytest.mark.parametrize("req", NAMED_41_SITES.values(), ids=list(NAMED_41_SITES))
+    def test_scale_covariance(self, req):
+        # the unit frame keeps the Lanczos norms away from underflow and
+        # overflow at every scale
+        base = reconstruct_jacobi(persymmetric_weights(req))
+        for k in range(-300, 301, 50):
+            c = 10.0**k
+            J = reconstruct_jacobi(
+                persymmetric_weights(SpectrumRequest(c * req.eigenvalues))
             )
-            assert np.abs(moved.diag - base.diag - shift).max() < 1e-9
-            assert np.abs(moved.offdiag - base.offdiag).max() < 1e-9
+            assert np.abs(J.offdiag / c / base.offdiag - 1.0).max() <= 1e-13, k
 
     def test_reproduces_input_spectral_data(self):
         sd = persymmetric_weights(gap_family_spectrum(4, 2))

@@ -38,6 +38,11 @@ def random_persymmetric(rng, n):
             return J
 
 
+def to_dense(J):
+    """The wire as a dense symmetric (n_sites x n_sites) array."""
+    return np.diag(J.diag) + np.diag(J.offdiag, 1) + np.diag(J.offdiag, -1)
+
+
 def count_calls(monkeypatch, name):
     """Record every call of the private jacobi helper ``name``."""
     calls = []
@@ -76,12 +81,6 @@ class TestJacobiMatrix:
         n = 42
         with pytest.raises(ValueError, match="between 2 and 41"):
             JacobiMatrix(diag=np.zeros(n), offdiag=np.ones(n - 1))
-
-    def test_to_dense_is_symmetric(self):
-        J = four_site_example()
-        dense = J.to_dense()
-        assert np.array_equal(dense, dense.T)
-        assert dense[0, 1] == J.offdiag[0]
 
 
 class TestSpectralData:
@@ -150,7 +149,7 @@ class TestEigendecompose:
                 offdiag=rng.uniform(*off_range, size=n - 1),
             )
             sd, vectors = _eigensystem(J)
-            dense = J.to_dense()
+            dense = to_dense(J)
             norm = np.abs(sd.eigenvalues).max()
             residual = np.abs(dense @ vectors - vectors * sd.eigenvalues).max()
             assert residual <= 1e-14 * max(1.0, norm)
@@ -168,6 +167,17 @@ class TestEigendecompose:
         assert np.abs(sd.eigenvalues - c * ref.eigenvalues).max() <= 4 * eps * scale
         assert np.abs(sd.weights / ref.weights - 1.0).max() <= 1e-13
 
+    @pytest.mark.parametrize("shift", [-1e9, 1e3, 1e7])
+    def test_shifted_wire(self, shift):
+        # the solve is centred on the diagonal, so a shift costs the weights
+        # nothing and the eigenvalues only their own rounding
+        J = krawtchouk_chain(40)
+        ref = eigendecompose(J)
+        sd = eigendecompose(JacobiMatrix(diag=J.diag + shift, offdiag=J.offdiag))
+        eps = np.finfo(float).eps
+        assert np.abs(sd.eigenvalues - shift - ref.eigenvalues).max() <= eps * abs(shift)
+        assert np.abs(sd.weights / ref.weights - 1.0).max() <= 1e-13
+
     def test_rejects_overflowing_spectrum(self):
         huge = np.finfo(float).max
         with pytest.raises(EigensolverError, match="too large"):
@@ -180,6 +190,15 @@ class TestEigendecompose:
         eigendecompose(krawtchouk_chain(N))
         # the twisted factorization adds one forward and one backward sweep
         assert len(calls) - 2 <= 64
+
+    @pytest.mark.parametrize(
+        "diag,offdiag", [([1.0, 0.0], [1e-9]), ([1.0, 0.0, 0.5], [1e-9, 0.3])]
+    )
+    def test_rejects_weakly_coupled_first_site(self, diag, offdiag):
+        # the weight of order 1e-18 is lost against a weight that rounds to 1
+        with pytest.raises(EigensolverError, match="weight 0") as info:
+            eigendecompose(JacobiMatrix(diag=diag, offdiag=offdiag))
+        assert info.value.index == 0
 
     def test_rejects_numerically_degenerate(self):
         # two nearly decoupled blocks give an eigenvalue gap below tolerance
