@@ -12,7 +12,6 @@ from .errors import (
     NotChebyshevRepresentableError,
     PstUndecidableError,
     ReconstructionError,
-    WeightInconsistencyError,
 )
 from .jacobi import (
     MAX_SITES,
@@ -74,7 +73,6 @@ __all__ = [
     "ReconstructionError",
     "SpectralData",
     "SpectrumRequest",
-    "WeightInconsistencyError",
     "amplitude",
     "amplitude_as_chebyshev",
     "amplitude_series",

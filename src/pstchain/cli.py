@@ -155,17 +155,24 @@ def cmd_construct(args: argparse.Namespace) -> RunManifest:
     return RunManifest(command="construct", inputs=inputs, outputs=(args.out,))
 
 
+def _transfer_analysis(
+    sd: SpectralData, tol: float
+) -> tuple[PstCertificate, EseReport | None]:
+    """PST certificate of the spectral data and, if it certifies, its ESE report."""
+    cert = detect_pst(SpectrumRequest(sd.eigenvalues), tol)
+    return cert, detect_ese(sd, cert) if cert.has_pst else None
+
+
 def cmd_analyze(args: argparse.Namespace) -> RunManifest:
     """Run transfer and exclusion analysis over a spectrum, document or matrix."""
     sd = _spectral_data_from_document(_load_json(args.input))
-    cert = detect_pst(SpectrumRequest(sd.eigenvalues), args.tol)
-    if cert.has_pst:
-        report = detect_ese(sd, cert)
-        ese = _ese_dict(report)
-        verdict = "ESE present" if report.zeros else "ESE absent"
-    else:
+    cert, report = _transfer_analysis(sd, args.tol)
+    if report is None:
         ese = None
         verdict = "no PST, ESE analysis not applicable"
+    else:
+        ese = _ese_dict(report)
+        verdict = "ESE present" if report.zeros else "ESE absent"
     document = {
         "spectrum": sd.eigenvalues,
         "pst": _certificate_dict(cert),
@@ -204,18 +211,13 @@ def cmd_plot(args: argparse.Namespace) -> RunManifest:
     """Render both boundary amplitudes to a standalone SVG with markers."""
     sd = _spectral_data_from_document(_load_json(args.input))
     series = amplitude_series(sd, args.t0, args.t1, 800)
-    cert = detect_pst(SpectrumRequest(sd.eigenvalues), args.tol)
-    ese_times: list[float] = []
-    transfer_time = None
-    if cert.has_pst:
-        transfer_time = cert.transfer_time
-        ese_times = [zero.time for zero in detect_ese(sd, cert).zeros]
+    cert, report = _transfer_analysis(sd, args.tol)
     svg = amplitude_svg(
         series.times,
         np.abs(series.x0),
         np.abs(series.xN),
-        ese_times,
-        transfer_time,
+        [zero.time for zero in report.zeros] if report is not None else [],
+        cert.transfer_time,
     )
     _write(args.out, svg)
     inputs = {"in": args.input, "t0": args.t0, "t1": args.t1, "tol": args.tol}
@@ -274,7 +276,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         manifest = args.func(args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError, TypeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ChainError as exc:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import PstUndecidableError
 from .inverse import SpectrumRequest, persymmetric_weights
-from .jacobi import SpectralData, _frame, amplitude, amplitude_values
+from .jacobi import _NOISE_CLEARANCE, SpectralData, _frame, amplitude, amplitude_values
 
 # Largest odd-integer index admitted in the transfer-time search.
 _ODD_CAP = 10_000
@@ -37,12 +37,6 @@ _SCAN_DIVISIONS = 256
 # and the iteration budget after which a candidate counts as unresolved.
 _REFINE_WIDTH_FRAC = 1e-12
 _REFINE_MAX_ITER = 300
-
-# A scan minimum is only refined when its bracket edges (the neighboring grid
-# points) stand clear of the cancellation floor of the unit-mass spectral
-# sum; below this the whole neighborhood is numerically zero and no isolated
-# zero exists.
-_NOISE_CLEARANCE = 1e-12
 
 # |x_N| this close to 1 at a candidate zero would mean transfer before the
 # certified earliest time; such candidates are quarantined, not reported.

@@ -23,11 +23,6 @@ class ReconstructionError(ChainError):
         self.step = step
 
 
-class WeightInconsistencyError(ChainError):
-    """A computed spectral weight came out non-positive, which signals an
-    input spectrum at or beyond the gap tolerance."""
-
-
 class PstUndecidableError(ChainError):
     """The transfer-time search hit its odd-integer budget before any
     candidate could be tested, so the spectrum is undecidable at the

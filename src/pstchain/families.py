@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NotChebyshevRepresentableError
 from .inverse import SpectrumRequest
-from .jacobi import MAX_SITES, JacobiMatrix, SpectralData
+from .jacobi import _NOISE_CLEARANCE, MAX_SITES, JacobiMatrix, SpectralData
 
 # Eigenvalues must sit on odd half-integers this tightly for the cosine
 # polynomial form; constructed spectra are exact, so only parse noise passes.
@@ -185,14 +185,18 @@ def amplitude_as_chebyshev(sd: SpectralData) -> ChebyshevCombination:
 def count_sign_changes(c: ChebyshevCombination, samples: int = 8192) -> int:
     """Sign changes of the combination over a uniform grid inside (-1, 1).
 
-    Endpoints are excluded exactly; exact zeros on the grid are skipped.
-    The count lower-bounds the number of distinct zeros.
+    Endpoints are excluded exactly.  Samples at or below the cancellation
+    floor, the noise clearance times the sum of |A_j|, are dropped, since
+    round-off decides their sign; the count covers the samples above it.
+    Zeros of even multiplicity, or closer together than the grid step, do
+    not show.
     """
     if samples < 64:
         raise ValueError("need at least 64 samples")
     grid = np.linspace(-1.0, 1.0, samples + 2)[1:-1]
-    signs = np.sign(c.evaluate(grid))
-    signs = signs[signs != 0.0]
+    values = c.evaluate(grid)
+    floor = _NOISE_CLEARANCE * sum(abs(a) for a in c.coefficients.values())
+    signs = np.sign(values[np.abs(values) > floor])
     if signs.size < 2:
         return 0
     return int(np.count_nonzero(signs[1:] != signs[:-1]))

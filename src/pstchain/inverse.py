@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ReconstructionError, WeightInconsistencyError
+from .errors import ReconstructionError
 from .jacobi import JacobiMatrix, SpectralData, _frame, _spectrum
 
 # Lanczos residual norms (in the unit frame) at or below this mean the
@@ -39,10 +39,6 @@ class SpectrumRequest:
     def __post_init__(self):
         object.__setattr__(self, "eigenvalues", _spectrum(self.eigenvalues))
 
-    @property
-    def n_sites(self) -> int:
-        return int(self.eigenvalues.size)
-
 
 def persymmetric_weights(req: SpectrumRequest) -> SpectralData:
     """Weights of the unique persymmetric wire with the requested spectrum.
@@ -52,17 +48,8 @@ def persymmetric_weights(req: SpectrumRequest) -> SpectralData:
     after normalization.
     """
     lam = req.eigenvalues
-    n = lam.size
     diffs = lam[:, None] - lam[None, :]
     np.fill_diagonal(diffs, 1.0)
-    alt = np.where((np.arange(n) + n - 1) % 2 == 0, 1.0, -1.0)
-    signs = alt * np.prod(np.sign(diffs), axis=1)
-    if not np.all(signs > 0.0):
-        bad = int(np.nonzero(signs <= 0.0)[0][0])
-        raise WeightInconsistencyError(
-            f"weight {bad} came out non-positive; the spectrum violates the "
-            "gap tolerance"
-        )
     logw = -np.sum(np.log(np.abs(diffs)), axis=1)
     logw -= logw.max()
     w = np.exp(logw)

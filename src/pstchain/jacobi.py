@@ -22,6 +22,11 @@ with c the midpoint and 2^e the power of two above the half-span (the
 solver centres on its diagonal), or on lambda - c alone.  A shift or scale
 thus leaves their results alone; symmetric spectra have c = 0 exactly.
 
+Every amplitude, boundary or full column, is one centred spectral sum,
+``_spectral_sum``.  Its values cancel down to ``_NOISE_CLEARANCE`` times the
+total coefficient modulus and no further; below that floor round-off decides
+the sign, and the ESE search and the sign-change count both drop such values.
+
 A wire is solved once per ``JacobiMatrix`` instance: the spectral data and
 the read-only eigenvector matrix are kept on the instance on first use and
 shared by ``eigendecompose`` and every ``full_evolution_column`` call.
@@ -50,6 +55,9 @@ Site = Literal["first", "last"]
 
 _UNITARITY_SLACK = 1e-9
 _BISECT_MAX_ITER = 160
+
+# Cancellation floor of a spectral sum per unit of total coefficient modulus.
+_NOISE_CLEARANCE = 1e-12
 
 
 def _readonly(values, dtype=float) -> np.ndarray:
@@ -328,13 +336,18 @@ def eigendecompose(J: JacobiMatrix) -> SpectralData:
 
 
 def check_persymmetry(J: JacobiMatrix, tol: float = 1e-12) -> PersymmetryReport:
-    """Measure the deviation of J from symmetry about its antidiagonal."""
+    """Measure the deviation of J from symmetry about its antidiagonal.
+
+    The verdict holds both asymmetries to ``tol`` times the largest entry
+    modulus of J, so it does not depend on the wire's scale.
+    """
     if not tol > 0.0:
         raise ValueError("tolerance must be positive")
     diag_asym = float(np.abs(J.diag - J.diag[::-1]).max())
     off_asym = float(np.abs(J.offdiag - J.offdiag[::-1]).max())
+    bound = tol * max(float(np.abs(J.diag).max()), float(J.offdiag.max()))
     return PersymmetryReport(
-        is_persymmetric=bool(diag_asym <= tol and off_asym <= tol),
+        is_persymmetric=bool(diag_asym <= bound and off_asym <= bound),
         max_diag_asymmetry=diag_asym,
         max_offdiag_asymmetry=off_asym,
         tolerance=float(tol),
@@ -353,18 +366,23 @@ def _boundary_coefficients(sd: SpectralData, site: Site) -> np.ndarray:
     raise ValueError("site must be 'first' or 'last'")
 
 
-def amplitude_values(sd: SpectralData, times, site: Site = "first") -> np.ndarray:
-    """Boundary amplitude at every entry of ``times`` (vectorized).
+def _spectral_sum(sd: SpectralData, times, coefficients) -> np.ndarray:
+    """sum_s exp(-i lambda_s t) coefficients[s], one row per entry of ``times``.
 
     Sums exp(-i (lambda_s - c) t) about the midpoint c and applies exp(-i c t)
-    once, so a shift of the spectrum costs |x| no precision.
+    once, so a shift of the spectrum costs the sum no precision.
     """
     t = np.atleast_1d(np.asarray(times, dtype=float))
     c, lam = sd._centred
-    values = np.exp(-1j * t[:, None] * lam[None, :]) @ _boundary_coefficients(sd, site)
+    values = np.exp(-1j * t[:, None] * lam[None, :]) @ coefficients
     if c:
-        values *= np.exp(-1j * c * t)
+        values = (values.T * np.exp(-1j * c * t)).T
     return values
+
+
+def amplitude_values(sd: SpectralData, times, site: Site = "first") -> np.ndarray:
+    """Boundary amplitude at every entry of ``times`` (vectorized)."""
+    return _spectral_sum(sd, times, _boundary_coefficients(sd, site))
 
 
 def amplitude(sd: SpectralData, site: Site, t: float) -> complex:
@@ -396,9 +414,9 @@ def amplitude_series(
 def full_evolution_column(J: JacobiMatrix, t: float) -> np.ndarray:
     """All components of exp(-iJt) e_0 via the full eigendecomposition.
 
-    The eigendecomposition is computed once per instance and shared with
-    ``eigendecompose``, so each further time costs one matrix-vector product.
+    Component i is the spectral sum with coefficients v_i(s) v_0(s).  The
+    eigendecomposition is computed once per instance and shared with
+    ``eigendecompose``, so each further time costs one spectral sum.
     """
     sd, vectors = J._spectral
-    phases = np.exp(-1j * sd.eigenvalues * float(t))
-    return vectors @ (phases * vectors[0])
+    return _spectral_sum(sd, t, (vectors * vectors[0]).T)[0]

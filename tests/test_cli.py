@@ -170,6 +170,24 @@ class TestAnalyze:
         assert len(zeros) >= 3
         assert all(0.0 < t < math.pi for t in zeros)
 
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"matrix": [1, 2]},
+            {"matrix": 5},
+            {"matrix": {"diag": {"a": 1}, "offdiag": [1]}},
+            {"spectrum": {"a": 1}, "weights": [0.5, 0.5]},
+        ],
+    )
+    def test_wrongly_typed_document_exit_2(self, document, tmp_path, capsys):
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps(document))
+        out = str(tmp_path / "out")
+        span = ["--t0", "0", "--t1", "1", "--steps", "4"]
+        for argv in (["analyze"], ["evolve", *span]):
+            assert main([*argv, "--in", str(doc), "--out", out]) == 2
+            assert capsys.readouterr().err.startswith("error:")
+
     def test_non_pst_input_still_succeeds(self, tmp_path):
         spectrum = tmp_path / "s.json"
         spectrum.write_text("[0.0, 1.0, 2.5]\n")

@@ -1,6 +1,8 @@
 """Polynomial families, closed forms, and sign-change counting."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,8 @@ from pstchain import (
     reconstruct_jacobi,
     surgery_spectrum,
 )
+
+GOLDEN_ESE = Path(__file__).parent / "golden" / "ese_named_families.json"
 
 
 def monic_krawtchouk(N: int, n: int, x):
@@ -322,6 +326,25 @@ class TestCountSignChanges:
             }
             c = ChebyshevCombination(coeffs)
             assert count_sign_changes(c, 8192) >= low
+
+    def test_named_symmetric_spectra_count_exactly(self):
+        # x_0 is odd in u = cos(t/2): each ESE zero in (0, pi) and its mirror
+        # are sign changes on (-1, 1), and u = 0 (t = pi) is one more
+        wrong = []
+        for case in json.loads(GOLDEN_ESE.read_text())["cases"]:
+            if case["family"] == "krawtchouk":
+                if case["N"] % 2 == 0:  # odd size: 0 is in the spectrum
+                    continue
+                req = SpectrumRequest(np.arange(case["N"] + 1.0) - case["N"] / 2.0)
+            elif case["family"] == "surgery":
+                req = surgery_spectrum(case["N"])
+            else:
+                req = gap_family_spectrum(case["n"], case["m"])
+            c = amplitude_as_chebyshev(persymmetric_weights(req))
+            count = count_sign_changes(c)
+            if count != 2 * len(case["zeros"]) + 1 or count > c.highest_degree:
+                wrong.append((case, count, c.highest_degree))
+        assert not wrong, wrong
 
     @pytest.mark.parametrize("n,m", [(2, 1), (3, 3), (6, 4)])
     def test_gap_family_amplitudes(self, n, m):

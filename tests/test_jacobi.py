@@ -11,13 +11,17 @@ from pstchain import (
     EigensolverError,
     JacobiMatrix,
     SpectralData,
+    SpectrumRequest,
     amplitude,
     amplitude_series,
     amplitude_values,
     check_persymmetry,
     eigendecompose,
     full_evolution_column,
+    gap_family_spectrum,
     krawtchouk_chain,
+    persymmetric_weights,
+    reconstruct_jacobi,
 )
 from pstchain import jacobi
 from pstchain.jacobi import _eigensystem
@@ -172,11 +176,17 @@ class TestEigendecompose:
         # the solve is centred on the diagonal, so a shift costs the weights
         # nothing and the eigenvalues only their own rounding
         J = krawtchouk_chain(40)
+        shifted = JacobiMatrix(diag=J.diag + shift, offdiag=J.offdiag)
         ref = eigendecompose(J)
-        sd = eigendecompose(JacobiMatrix(diag=J.diag + shift, offdiag=J.offdiag))
+        sd = eigendecompose(shifted)
         eps = np.finfo(float).eps
         assert np.abs(sd.eigenvalues - shift - ref.eigenvalues).max() <= eps * abs(shift)
         assert np.abs(sd.weights / ref.weights - 1.0).max() <= 1e-13
+        # the column is summed about the spectrum's midpoint, so the shift
+        # only turns its global phase
+        moduli = np.abs(full_evolution_column(shifted, math.pi / 2))
+        ref_moduli = np.abs(full_evolution_column(J, math.pi / 2))
+        assert np.abs(moduli - ref_moduli).max() <= 1e-14
 
     def test_rejects_overflowing_spectrum(self):
         huge = np.finfo(float).max
@@ -238,8 +248,8 @@ class TestSolveOnce:
         for sd in (first, again):
             assert np.array_equal(sd.eigenvalues, fresh.eigenvalues)
             assert np.array_equal(sd.weights, fresh.weights)
-        phases = np.exp(-1j * fresh.eigenvalues * 2.5)
-        assert np.array_equal(col, vectors @ (phases * vectors[0]))
+        expected = jacobi._spectral_sum(fresh, [2.5], (vectors * vectors[0]).T)[0]
+        assert np.array_equal(col, expected)
 
     def test_cached_arrays_are_read_only(self):
         J = krawtchouk_chain(5)
@@ -268,6 +278,12 @@ class TestCheckPersymmetry:
     @pytest.mark.parametrize("N", [1, 2, 5, 12])
     def test_krawtchouk_chain_is_persymmetric(self, N):
         assert check_persymmetry(krawtchouk_chain(N), 1e-12).is_persymmetric
+
+    def test_scaled_reconstructed_wire_is_persymmetric(self):
+        # the bound follows the entries' scale, not an absolute 1e-12
+        scaled = SpectrumRequest(1e6 * gap_family_spectrum(10, 5).eigenvalues)
+        J = reconstruct_jacobi(persymmetric_weights(scaled))
+        assert check_persymmetry(J, 1e-12).is_persymmetric
 
     def test_rejects_nonpositive_tolerance(self):
         with pytest.raises(ValueError):
