@@ -9,10 +9,13 @@ j = 0, 1, ... and the first feasible candidate wins.
 Early state exclusion (ESE) is a time strictly before the earliest
 transfer at which the boundary-return amplitude x_0 vanishes.  Zeros are
 minima of |x_0|^2, so the search is a uniform scan at a step fine enough
-for the fastest oscillation of the spectral sum.  Interior local minima
-whose neighboring grid points sit on the cancellation floor are dropped;
-the rest are refined together by one batched golden-section sweep, in which
-each step evaluates the new points of every open bracket in a single call.
+for the fastest oscillation of the spectral sum.  The scan is one factored
+grid sum (``jacobi._grid_sum``): one matrix product over O(sqrt(n))
+exponentials per eigenvalue for n grid points, holding n values rather than
+a points x sites matrix.  Interior local minima whose neighboring grid
+points sit on the cancellation floor are dropped; the rest are refined
+together by one batched golden-section sweep, in which each step evaluates
+the new points of every open bracket in a single ``amplitude_values`` call.
 """
 
 from __future__ import annotations
@@ -25,7 +28,14 @@ import numpy as np
 
 from .errors import PstUndecidableError
 from .inverse import SpectrumRequest, persymmetric_weights
-from .jacobi import _NOISE_CLEARANCE, SpectralData, _frame, amplitude, amplitude_values
+from .jacobi import (
+    _NOISE_CLEARANCE,
+    SpectralData,
+    _frame,
+    _grid_sum,
+    amplitude,
+    amplitude_values,
+)
 
 # Largest odd-integer index admitted in the transfer-time search.
 _ODD_CAP = 10_000
@@ -210,11 +220,13 @@ def _golden_minimize(
     return 0.5 * (a + b), b - a <= width_tol
 
 
-def _scan_grid(sd: SpectralData, lo: float, hi: float) -> np.ndarray:
+def _scan(sd: SpectralData, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform scan grid over [lo, hi] and |x_0|^2 on it, by the factored kernel."""
     span = float(sd.eigenvalues[-1] - sd.eigenvalues[0])
     step = min(hi - lo, 2.0 * math.pi / span) / _SCAN_DIVISIONS
     npts = max(int(math.ceil((hi - lo) / step)) + 1, 16)
-    return np.linspace(lo, hi, npts)
+    f2 = np.abs(_grid_sum(sd, lo, hi, npts, sd.weights)) ** 2
+    return np.linspace(lo, hi, npts), f2
 
 
 def _interior_minima(f2: np.ndarray) -> np.ndarray:
@@ -228,11 +240,14 @@ def detect_ese(
 
     The scan runs over (eps, T0 - eps) with eps = 1e-6 T0 at a step no
     coarser than the fastest oscillation of the spectral sum divided by
-    256.  An interior local minimum of |x_0|^2 is dropped when |x_0| at
-    both neighboring grid points lies below the noise clearance, since no
-    isolated zero can be resolved there.  The surviving minima are refined
-    together by one batched golden-section sweep; a refined minimum is
-    certified as a zero when its residual beats ``tol``.
+    256; its values come from the factored grid kernel, which forms
+    O(sqrt(n)) exponentials per eigenvalue for n grid points.  An interior
+    local minimum of |x_0|^2 is dropped when |x_0| at both neighboring grid
+    points lies below the noise clearance, since no isolated zero can be
+    resolved there.  The surviving minima are refined together by one
+    batched golden-section sweep; a refined minimum is certified as a zero
+    when its residual, evaluated directly by ``amplitude_values``, beats
+    ``tol``.
     """
     if not cert.has_pst:
         raise ValueError("certificate does not certify perfect state transfer")
@@ -242,9 +257,8 @@ def detect_ese(
         raise ValueError("spectral data is inconsistent with the certificate")
     transfer_time = float(cert.transfer_time)
     eps = 1e-6 * transfer_time
-    times = _scan_grid(sd, eps, transfer_time - eps)
+    times, f2 = _scan(sd, eps, transfer_time - eps)
     resolution = float(times[1] - times[0])
-    f2 = _x0_squared(sd, times)
     minima = _interior_minima(f2)
     edge = np.sqrt(np.maximum(f2[minima - 1], f2[minima + 1]))
     kept = minima[edge >= _NOISE_CLEARANCE]
@@ -281,14 +295,13 @@ def detect_ese(
 def min_overlap(sd: SpectralData, t0: float, t1: float) -> MinOverlap:
     """Global minimum of |x_0(t)| over [t0, t1] to about 1e-8.
 
-    Dense scan at the oscillation-resolving step, then one batched
-    golden-section sweep over every interior local minimum; endpoint values
-    compete as they stand.
+    Dense scan at the oscillation-resolving step through the factored grid
+    kernel, then one batched golden-section sweep over every interior local
+    minimum, evaluated directly; endpoint values compete as they stand.
     """
     if not t0 < t1:
         raise ValueError("need t0 < t1")
-    times = _scan_grid(sd, float(t0), float(t1))
-    f2 = _x0_squared(sd, times)
+    times, f2 = _scan(sd, float(t0), float(t1))
     minima = _interior_minima(f2)
     t_star, _ = _golden_minimize(
         sd,

@@ -22,10 +22,13 @@ with c the midpoint and 2^e the power of two above the half-span (the
 solver centres on its diagonal), or on lambda - c alone.  A shift or scale
 thus leaves their results alone; symmetric spectra have c = 0 exactly.
 
-Every amplitude, boundary or full column, is one centred spectral sum,
-``_spectral_sum``.  Its values cancel down to ``_NOISE_CLEARANCE`` times the
-total coefficient modulus and no further; below that floor round-off decides
-the sign, and the ESE search and the sign-change count both drop such values.
+Every amplitude, boundary or full column, is a centred spectral sum:
+``_spectral_sum`` at arbitrary times, or ``_grid_sum`` on a uniform grid,
+which factors the grid so that exp(-i lambda t) is formed O(sqrt(n)) times
+per eigenvalue rather than n times; the ESE scan uses the latter.  Their
+values cancel down to ``_NOISE_CLEARANCE`` times the total coefficient
+modulus and no further; below that floor round-off decides the sign, and the
+ESE search and the sign-change count both drop such values.
 
 A wire is solved once per ``JacobiMatrix`` instance: the spectral data and
 the read-only eigenvector matrix are kept on the instance on first use and
@@ -339,13 +342,15 @@ def check_persymmetry(J: JacobiMatrix, tol: float = 1e-12) -> PersymmetryReport:
     """Measure the deviation of J from symmetry about its antidiagonal.
 
     The verdict holds both asymmetries to ``tol`` times the largest entry
-    modulus of J, so it does not depend on the wire's scale.
+    modulus of J - c, c the diagonal's midpoint (the frame of the solver),
+    so it depends on neither the wire's scale nor a shift of its diagonal.
     """
     if not tol > 0.0:
         raise ValueError("tolerance must be positive")
     diag_asym = float(np.abs(J.diag - J.diag[::-1]).max())
     off_asym = float(np.abs(J.offdiag - J.offdiag[::-1]).max())
-    bound = tol * max(float(np.abs(J.diag).max()), float(J.offdiag.max()))
+    c, _ = _frame((J.diag.min(), J.diag.max()))
+    bound = tol * max(float(np.abs(J.diag - c).max()), float(J.offdiag.max()))
     return PersymmetryReport(
         is_persymmetric=bool(diag_asym <= bound and off_asym <= bound),
         max_diag_asymmetry=diag_asym,
@@ -377,6 +382,33 @@ def _spectral_sum(sd: SpectralData, times, coefficients) -> np.ndarray:
     values = np.exp(-1j * t[:, None] * lam[None, :]) @ coefficients
     if c:
         values = (values.T * np.exp(-1j * c * t)).T
+    return values
+
+
+def _grid_sum(
+    sd: SpectralData, t0: float, t1: float, n: int, coefficients
+) -> np.ndarray:
+    """``_spectral_sum`` on the uniform grid ``np.linspace(t0, t1, n)``, n >= 2.
+
+    With step h, B = ceil(sqrt(n)) and j = B q + r, the centred phase factors
+    as exp(-i mu t_j) = exp(-i mu (t0 + B q h)) exp(-i mu r h), so the n sums
+    are one (Q x S)(S x B) matrix product over (Q + B) S exponentials in
+    place of n S.  The factors round differently from exp(-i mu t_j) only by
+    about eps |mu| t.  exp(-i c t) is applied once, on the grid itself.
+    """
+    times, step = np.linspace(t0, t1, n, retstep=True)
+    c, lam = sd._centred
+    block = math.isqrt(n - 1) + 1
+    rows = -(-n // block)
+    outer = np.exp(-1j * np.multiply.outer(block * np.arange(rows) * step + t0, lam))
+    inner = np.exp(-1j * np.multiply.outer(lam, np.arange(block) * step))
+    coefficients = np.asarray(coefficients)
+    columns = coefficients.reshape(lam.size, -1).T
+    weighted = (outer[:, None, :] * columns).reshape(-1, lam.size)
+    values = (weighted @ inner).reshape(rows, columns.shape[0], block).transpose(0, 2, 1)
+    values = values.reshape((rows * block,) + coefficients.shape[1:])[:n]
+    if c:
+        values = (values.T * np.exp(-1j * c * times)).T
     return values
 
 

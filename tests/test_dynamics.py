@@ -251,20 +251,25 @@ class TestDetectEse:
 
     def test_amplitude_evaluations_do_not_grow_with_candidates(self, monkeypatch):
         # every bracket advances in the same batched evaluation, so the call
-        # count follows the golden-section depth, not the number of minima
+        # count follows the golden-section depth, not the number of minima;
+        # the scan itself goes through the factored grid kernel, so only the
+        # refinement and the checks send points through amplitude_values
         req = gap_family_spectrum(20, 9)
         sd, cert = persymmetric_weights(req), detect_pst(req)
-        calls = []
+        points = []
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return amplitude_values(*args, **kwargs)
+        def counted(sd, times, *args, **kwargs):
+            points.append(np.size(times))
+            return amplitude_values(sd, times, *args, **kwargs)
 
         monkeypatch.setattr(dynamics, "amplitude_values", counted)
         report = detect_ese(sd, cert)
         assert len(report.zeros) == 9
         assert report.candidates > 64
-        assert len(calls) <= 64
+        assert len(points) <= 64
+        scan_points = round((1 - 2e-6) * cert.transfer_time / report.scan_resolution) + 1
+        assert scan_points == 7297
+        assert sum(points) < scan_points // 8
 
     def test_plateau_minima_are_never_refined(self):
         # every interior minimum of the 41-site equidistant chain lies on the

@@ -285,6 +285,15 @@ class TestCheckPersymmetry:
         J = reconstruct_jacobi(persymmetric_weights(scaled))
         assert check_persymmetry(J, 1e-12).is_persymmetric
 
+    @pytest.mark.parametrize("shift", [0.0, 1e9])
+    def test_shift_does_not_hide_coupling_asymmetry(self, shift):
+        # the bound is measured about the diagonal's midpoint, so a shift
+        # does not widen it past the couplings' 1e-4 asymmetry
+        J = JacobiMatrix(diag=[shift] * 3, offdiag=[1.0, 1.0001])
+        report = check_persymmetry(J, 1e-12)
+        assert not report.is_persymmetric
+        assert report.max_offdiag_asymmetry == pytest.approx(1e-4)
+
     def test_rejects_nonpositive_tolerance(self):
         with pytest.raises(ValueError):
             check_persymmetry(four_site_example(), 0.0)
@@ -313,6 +322,41 @@ class TestAmplitude:
         sd = eigendecompose(four_site_example())
         with pytest.raises(ValueError, match="site"):
             amplitude(sd, "middle", 1.0)
+
+
+class TestGridSum:
+    """The factored uniform-grid kernel against the direct spectral sum."""
+
+    # 7297 is the gap (20, 9) ESE scan; the others are a small grid, a
+    # perfect square, a square + 1 and a prime
+    @pytest.mark.parametrize("n", [16, 1024, 1025, 997, 7297])
+    @pytest.mark.parametrize("shift", [0.0, 1e7])
+    def test_matches_spectral_sum(self, n, shift):
+        sd = persymmetric_weights(
+            SpectrumRequest(gap_family_spectrum(20, 9).eigenvalues + shift)
+        )
+        assert (sd._centred[0] != 0.0) == (shift != 0.0)
+        wire, vectors = reconstruct_jacobi(sd)._spectral
+        t0 = 1e-6 * math.pi
+        h = (1.0 - 2e-6) * math.pi / (n - 1)
+        t1 = t0 + (n - 1) * h
+        times = np.linspace(t0, t1, n)
+        s = np.arange(sd.n_sites)
+        for sd, coefficients in (
+            (sd, sd.weights),
+            (sd, np.where(s % 2 == 0, 1.0, -1.0) * sd.weights),
+            (sd, np.exp(1j * s) * sd.weights),
+            (wire, (vectors * vectors[0]).T),
+        ):
+            mu = sd._centred[1]
+            expected = jacobi._spectral_sum(sd, times, coefficients)
+            got = jacobi._grid_sum(sd, t0, t1, n, coefficients)
+            assert got.shape == expected.shape
+            bound = (
+                64 * np.finfo(float).eps * np.abs(coefficients).sum(axis=0)
+                * max(1.0, np.abs(mu).max() * t1)
+            )
+            assert np.all(np.abs(got - expected) <= bound)
 
 
 class TestAmplitudeSeries:
