@@ -342,15 +342,15 @@ class TestGridSum:
         t1 = t0 + (n - 1) * h
         times = np.linspace(t0, t1, n)
         s = np.arange(sd.n_sites)
-        for sd, coefficients in (
+        for data, coefficients in (
             (sd, sd.weights),
             (sd, np.where(s % 2 == 0, 1.0, -1.0) * sd.weights),
             (sd, np.exp(1j * s) * sd.weights),
             (wire, (vectors * vectors[0]).T),
         ):
-            mu = sd._centred[1]
-            expected = jacobi._spectral_sum(sd, times, coefficients)
-            got = jacobi._grid_sum(sd, t0, t1, n, coefficients)
+            mu = data._centred[1]
+            expected = jacobi._spectral_sum(data, times, coefficients)
+            got = jacobi._grid_sum(data, t0, t1, n, coefficients)
             assert got.shape == expected.shape
             bound = (
                 64 * np.finfo(float).eps * np.abs(coefficients).sum(axis=0)
