@@ -203,7 +203,8 @@ def _golden_minimize(
     b = np.array(hi, dtype=float)
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
-    fc, fd = np.split(_x0_squared(sd, np.concatenate([c, d])), 2)
+    values = _x0_squared(sd, np.concatenate([c, d]))
+    fc, fd = values[: a.size], values[a.size :]
     for _ in range(_REFINE_MAX_ITER):
         live = np.nonzero(b - a > width_tol)[0]
         if live.size == 0:
@@ -214,9 +215,8 @@ def _golden_minimize(
         c[left] = b[left] - _INV_PHI * (b[left] - a[left])
         a[right], c[right], fc[right] = c[right], d[right], fd[right]
         d[right] = a[right] + _INV_PHI * (b[right] - a[right])
-        fc[left], fd[right] = np.split(
-            _x0_squared(sd, np.concatenate([c[left], d[right]])), [left.size]
-        )
+        values = _x0_squared(sd, np.concatenate([c[left], d[right]]))
+        fc[left], fd[right] = values[: left.size], values[left.size :]
     return 0.5 * (a + b), b - a <= width_tol
 
 

@@ -25,7 +25,8 @@ thus leaves their results alone; symmetric spectra have c = 0 exactly.
 Every amplitude, boundary or full column, is a centred spectral sum:
 ``_spectral_sum`` at arbitrary times, or ``_grid_sum`` on a uniform grid,
 which factors the grid so that exp(-i lambda t) is formed O(sqrt(n)) times
-per eigenvalue rather than n times; the ESE scan uses the latter.  Their
+per eigenvalue rather than n times.  Every uniform grid, the ESE scan and
+every ``amplitude_series``, goes through ``_grid_sum``.  Their
 values cancel down to ``_NOISE_CLEARANCE`` times the total coefficient
 modulus and no further; below that floor round-off decides the sign, and the
 ESE search and the sign-change count both drop such values.
@@ -430,16 +431,24 @@ def amplitude(sd: SpectralData, site: Site, t: float) -> complex:
 def amplitude_series(
     sd: SpectralData, t0: float, t1: float, steps: int
 ) -> AmplitudeSeries:
-    """Sample both boundary amplitudes on a uniform grid over [t0, t1]."""
+    """Sample both boundary amplitudes on ``np.linspace(t0, t1, steps)``.
+
+    x_0 and x_N come from one ``_grid_sum`` call over the S x 2 matrix of
+    their coefficients, so a series costs O(sqrt(steps)) exponentials per
+    eigenvalue and O(steps + sqrt(steps) S) memory.
+    """
     if not t0 < t1:
         raise ValueError("need t0 < t1")
     if steps < 2:
         raise ValueError("need steps >= 2")
-    times = np.linspace(float(t0), float(t1), int(steps))
+    t0, t1, steps = float(t0), float(t1), int(steps)
+    coefficients = np.stack(
+        [_boundary_coefficients(sd, "first"), _boundary_coefficients(sd, "last")],
+        axis=1,
+    )
+    values = _grid_sum(sd, t0, t1, steps, coefficients)
     return AmplitudeSeries(
-        times=times,
-        x0=amplitude_values(sd, times, "first"),
-        xN=amplitude_values(sd, times, "last"),
+        times=np.linspace(t0, t1, steps), x0=values[:, 0], xN=values[:, 1]
     )
 
 

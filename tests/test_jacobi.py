@@ -1,6 +1,7 @@
 """Core types, eigensolver, and boundary amplitude evaluation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -360,6 +361,41 @@ class TestGridSum:
 
 
 class TestAmplitudeSeries:
+    # 2 and 3 are the smallest grids (one and two partial blocks)
+    @pytest.mark.parametrize("steps", [2, 3, 101, 2001])
+    @pytest.mark.parametrize("interval", [(0.0, math.pi), (1.3, 7.9)])
+    @pytest.mark.parametrize("shift", [0.0, 1e7])
+    def test_matches_spectral_sum(self, steps, interval, shift):
+        sd = persymmetric_weights(
+            SpectrumRequest(gap_family_spectrum(20, 9).eigenvalues + shift)
+        )
+        assert (sd._centred[0] != 0.0) == (shift != 0.0)
+        t0, t1 = interval
+        series = amplitude_series(sd, t0, t1, steps)
+        times = np.linspace(t0, t1, steps)
+        assert np.array_equal(series.times, times)
+        mu = sd._centred[1]
+        for site, got in (("first", series.x0), ("last", series.xN)):
+            coefficients = jacobi._boundary_coefficients(sd, site)
+            expected = jacobi._spectral_sum(sd, times, coefficients)
+            bound = (
+                64 * np.finfo(float).eps * np.abs(coefficients).sum()
+                * max(1.0, np.abs(mu).max() * t1)
+            )
+            assert np.all(np.abs(got - expected) <= bound)
+
+    def test_memory_is_bounded(self):
+        # no steps x sites temporaries: the series and O(sqrt(steps) S)
+        sd = persymmetric_weights(SpectrumRequest(np.arange(41.0) - 20.0))
+        steps = 50_000
+        tracemalloc.start()
+        try:
+            amplitude_series(sd, 0.0, math.pi, steps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 256 * steps
+
     def test_four_site_transfer(self):
         sd = eigendecompose(four_site_example())
         series = amplitude_series(sd, 0.0, math.pi, 629)
