@@ -9,6 +9,9 @@ import pytest
 
 import pstchain.dynamics as dynamics
 from pstchain import (
+    EseReport,
+    EseZero,
+    PstCertificate,
     PstUndecidableError,
     SpectrumRequest,
     amplitude,
@@ -371,3 +374,31 @@ class TestSmallSizesNeverExclude:
             sd = persymmetric_weights(req)
             cert = detect_pst(req)
             assert detect_ese(sd, cert).zeros == ()
+
+
+class TestReportValidation:
+    def test_certificate_needs_a_spectrum(self):
+        with pytest.raises(ValueError, match="spectrum it certifies"):
+            PstCertificate(False, None, None, None, (1.0,))
+
+    def test_positive_certificate_needs_time_and_integers(self):
+        with pytest.raises(ValueError, match="T0 and odd integers"):
+            PstCertificate(True, None, (0,), None, (-1.0, 1.0))
+        with pytest.raises(ValueError, match="T0 and odd integers"):
+            PstCertificate(True, math.pi / 2, None, None, (-1.0, 1.0))
+
+    def test_certificate_gaps_must_match(self):
+        PstCertificate(True, math.pi / 2, (0,), None, (-1.0, 1.0))
+        with pytest.raises(ValueError, match="gap structure"):
+            PstCertificate(True, math.pi / 2, (1,), None, (-1.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "zero, match",
+        [
+            (EseZero(time=1.0, residual=1e-10, last_site_modulus=0.5), "residual"),
+            (EseZero(time=1.0, residual=0.0, last_site_modulus=1.0 - 1e-7), "saturate"),
+        ],
+    )
+    def test_report_zeros_must_be_certified(self, zero, match):
+        with pytest.raises(ValueError, match=match):
+            EseReport((zero,), (), (), scan_resolution=1e-3, tolerance=1e-10)
