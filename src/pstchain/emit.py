@@ -24,60 +24,43 @@ def fmt(x: float) -> str:
     return format(x, ".12g")
 
 
-def _emit(value, out: list[str], indent: int) -> None:
-    pad = "  " * indent
+def _emit(value, indent: int) -> str:
+    """JSON text of one value whose closing line is indented ``indent`` levels."""
+    if isinstance(value, (float, np.floating)):
+        return fmt(value)
     if value is None:
-        out.append("null")
-    elif isinstance(value, bool):
-        out.append("true" if value else "false")
-    elif isinstance(value, (int, np.integer)):
-        out.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
-        out.append(fmt(value))
-    elif isinstance(value, str):
-        out.append(json.dumps(value))
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (key, item) in enumerate(value.items()):
-            out.append(f"{pad}  {json.dumps(str(key))}: ")
-            _emit(item, out, indent + 1)
-            out.append(",\n" if i < len(value) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(value, (list, tuple, np.ndarray)):
-        items = list(value)
-        if not items:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, item in enumerate(items):
-            out.append(pad + "  ")
-            _emit(item, out, indent + 1)
-            out.append(",\n" if i < len(items) - 1 else "\n")
-        out.append(pad + "]")
-    else:
-        raise TypeError(f"cannot serialize {type(value).__name__}")
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, str):
+        return json.dumps(value)
+    pad = "  " * indent
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items = ",\n".join(
+            f"{inner}{json.dumps(str(key))}: {_emit(item, indent + 1)}"
+            for key, item in value.items()
+        )
+        return f"{{\n{items}\n{pad}}}" if items else "{}"
+    if isinstance(value, (list, tuple, np.ndarray)):
+        items = ",\n".join(inner + _emit(item, indent + 1) for item in value)
+        return f"[\n{items}\n{pad}]" if items else "[]"
+    raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def dumps(value) -> str:
     """JSON text with fixed key order and 12-significant-digit floats."""
-    out: list[str] = []
-    _emit(value, out, 0)
-    out.append("\n")
-    return "".join(out)
+    return _emit(value, 0) + "\n"
 
 
 def csv_text(header: list[str], columns: list[np.ndarray]) -> str:
     """CSV with the given column order, floats at 12 significant digits."""
     if len(header) != len(columns):
         raise ValueError("header and column counts differ")
-    rows = [",".join(header)]
-    length = len(columns[0])
-    for i in range(length):
-        rows.append(",".join(fmt(col[i]) for col in columns))
-    return "\n".join(rows) + "\n"
+    rows = zip(*(map(fmt, column) for column in columns), strict=True)
+    return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
 
 
 _WIDTH, _HEIGHT = 800, 480

@@ -116,3 +116,7 @@ class TestCsv:
     def test_header_mismatch_raises(self):
         with pytest.raises(ValueError, match="header"):
             csv_text(["t"], [np.zeros(2), np.zeros(2)])
+
+    def test_unequal_columns_raise(self):
+        with pytest.raises(ValueError):
+            csv_text(["t", "v"], [np.zeros(2), np.zeros(3)])
