@@ -435,7 +435,9 @@ def amplitude_series(
 
     x_0 and x_N come from one ``_grid_sum`` call over the S x 2 matrix of
     their coefficients, so a series costs O(sqrt(steps)) exponentials per
-    eigenvalue and O(steps + sqrt(steps) S) memory.
+    eigenvalue and O(steps + sqrt(steps) S) memory.  A real or imaginary
+    part at or below the cancellation floor, ``_NOISE_CLEARANCE`` times the
+    boundary's total coefficient modulus, is round-off and is set to 0.
     """
     if not t0 < t1:
         raise ValueError("need t0 < t1")
@@ -447,6 +449,9 @@ def amplitude_series(
         axis=1,
     )
     values = _grid_sum(sd, t0, t1, steps, coefficients)
+    floor = _NOISE_CLEARANCE * np.abs(coefficients).sum(axis=0)
+    for part in (values.real, values.imag):
+        part[np.abs(part) <= floor] = 0.0
     return AmplitudeSeries(
         times=np.linspace(t0, t1, steps), x0=values[:, 0], xN=values[:, 1]
     )

@@ -396,6 +396,16 @@ class TestAmplitudeSeries:
             tracemalloc.stop()
         assert peak <= 256 * steps
 
+    def test_round_off_below_the_floor_is_zero(self):
+        # gap (2, 1) is symmetric about 0, so x_0 is real: its imaginary
+        # part is pure round-off
+        sd = persymmetric_weights(gap_family_spectrum(2, 1))
+        series = amplitude_series(sd, 0.0, math.pi, 101)
+        assert np.all(series.x0.imag == 0.0)
+        for value in (series.x0, series.xN):
+            for part in (np.abs(value.real), np.abs(value.imag)):
+                assert not np.any((part > 0.0) & (part <= 1e-12))
+
     def test_four_site_transfer(self):
         sd = eigendecompose(four_site_example())
         series = amplitude_series(sd, 0.0, math.pi, 629)
