@@ -60,20 +60,9 @@ class ChebyshevCombination:
 
     def evaluate(self, x):
         """Value of the combination at x (scalar or array)."""
-        x = np.asarray(x, dtype=float)
-        total = np.zeros_like(x)
-        t_prev = np.ones_like(x)
-        t_cur = x.copy()
-        if 0 in self.coefficients:
-            total = total + self.coefficients[0] * t_prev
-        if 1 in self.coefficients:
-            total = total + self.coefficients[1] * t_cur
-        for degree in range(2, self.highest_degree + 1):
-            t_prev, t_cur = t_cur, 2.0 * x * t_cur - t_prev
-            coeff = self.coefficients.get(degree)
-            if coeff is not None:
-                total = total + coeff * t_cur
-        return total
+        dense = np.zeros(self.highest_degree + 1)
+        dense[list(self.coefficients)] = list(self.coefficients.values())
+        return np.polynomial.chebyshev.chebval(np.asarray(x, dtype=float), dense)
 
 
 class FourSiteClosedForm(NamedTuple):
