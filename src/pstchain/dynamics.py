@@ -48,6 +48,9 @@ _SCAN_DIVISIONS = 256
 _REFINE_WIDTH_FRAC = 1e-12
 _REFINE_MAX_ITER = 300
 
+# A refined minimum is certified as a zero when |x_0| there is below this.
+_ZERO_RESIDUAL_TOL = 1e-10
+
 # |x_N| this close to 1 at a candidate zero would mean transfer before the
 # certified earliest time; such candidates are quarantined, not reported.
 _ANOMALY_MARGIN = 1e-6
@@ -233,9 +236,7 @@ def _interior_minima(f2: np.ndarray) -> np.ndarray:
     return np.nonzero((f2[1:-1] <= f2[:-2]) & (f2[1:-1] <= f2[2:]))[0] + 1
 
 
-def detect_ese(
-    sd: SpectralData, cert: PstCertificate, tol: float = 1e-10
-) -> EseReport:
+def detect_ese(sd: SpectralData, cert: PstCertificate) -> EseReport:
     """Locate every vanishing of |x_0| strictly inside (0, T0).
 
     The scan runs over (eps, T0 - eps) with eps = 1e-6 T0 at a step no
@@ -246,8 +247,8 @@ def detect_ese(
     points lies below the noise clearance, since no isolated zero can be
     resolved there.  The surviving minima are refined together by one
     batched golden-section sweep; a refined minimum is certified as a zero
-    when its residual, evaluated directly by ``amplitude_values``, beats
-    ``tol``.
+    when its residual, evaluated directly by ``amplitude_values``, is below
+    ``_ZERO_RESIDUAL_TOL`` (1e-10), which the report carries as ``tolerance``.
     """
     if not cert.has_pst:
         raise ValueError("certificate does not certify perfect state transfer")
@@ -267,7 +268,7 @@ def detect_ese(
     )
     t_conv = t_star[converged]
     residual = np.abs(amplitude_values(sd, t_conv, "first"))
-    small = residual < tol
+    small = residual < _ZERO_RESIDUAL_TOL
     t_zero, residual = t_conv[small], residual[small]
     last_site = np.abs(amplitude_values(sd, t_zero, "last"))
     saturated = last_site >= 1.0 - _ANOMALY_MARGIN
@@ -285,7 +286,7 @@ def detect_ese(
         unresolved=tuple(float(t) for t in t_star[~converged]),
         early_pst_anomalies=tuple(float(t) for t in t_zero[saturated]),
         scan_resolution=resolution,
-        tolerance=float(tol),
+        tolerance=_ZERO_RESIDUAL_TOL,
         candidates=int(minima.size),
         noise_floor_rejections=int(minima.size - kept.size),
         refined=int(kept.size),
