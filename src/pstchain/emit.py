@@ -1,9 +1,10 @@
 """Deterministic emitters: 12-significant-digit JSON and CSV, hand-built SVG.
 
-The standard json module formats floats with shortest round-trip digits,
-which is not the fixed 12-significant-digit decimal contract needed for
-byte-stable, human-diffable artifacts; this emitter walks the structure
-itself and keeps dictionary insertion order.
+JSON text has the layout of ``json.dumps(value, indent=2)`` and keeps
+dictionary insertion order, but every number is written by ``fmt`` with 12
+significant digits: the standard module's shortest round-trip floats are
+not the fixed decimal contract that byte-stable, human-diffable artifacts
+need.  CSV cells go through the same ``fmt``.
 """
 
 from __future__ import annotations
