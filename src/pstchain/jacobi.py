@@ -28,8 +28,9 @@ which factors the grid so that exp(-i lambda t) is formed O(sqrt(n)) times
 per eigenvalue rather than n times.  Every uniform grid, the ESE scan and
 every ``amplitude_series``, goes through ``_grid_sum``.  Their
 values cancel down to ``_NOISE_CLEARANCE`` times the total coefficient
-modulus and no further; below that floor round-off decides the sign, and the
-ESE search and the sign-change count both drop such values.
+modulus and no further; below that floor round-off decides the sign, so the
+ESE search and the sign-change count both drop such values, and
+``amplitude_series`` sets such real and imaginary parts to 0.
 
 A wire is solved once per ``JacobiMatrix`` instance: the spectral data and
 the read-only eigenvector matrix are kept on the instance on first use and
