@@ -1,8 +1,10 @@
-"""Output contract of the JSON and CSV emitters.
+"""Output contract of the JSON, CSV and SVG emitters.
 
 ``dumps`` writes the layout of ``json.dumps(indent=2)`` with every float at
 12 significant digits; ``csv_text`` writes one row per sample.  The random
 structures below hold no floats, so the standard module is their oracle.
+Float arrays must read exactly as their values do one at a time: the
+per-value formats are kept inline below as the reference.
 """
 
 import json
@@ -12,7 +14,7 @@ import random
 import numpy as np
 import pytest
 
-from pstchain.emit import csv_text, dumps, fmt
+from pstchain.emit import _Y_MAX, _polyline, _px, _py, csv_text, dumps, fmt
 
 
 def random_text(rng: random.Random) -> str:
@@ -97,10 +99,82 @@ def test_non_finite_floats_raise(bad):
         csv_text(["x"], [np.array([bad])])
 
 
-@pytest.mark.parametrize("bad", [{1, 2}, 1 + 2j, np.bool_(True), np.array([1j])])
+@pytest.mark.parametrize(
+    "bad", [{1, 2}, 1 + 2j, np.bool_(True), np.array([1j]), np.array([True, False])]
+)
 def test_unsupported_types_raise(bad):
     with pytest.raises(TypeError, match="cannot serialize"):
         dumps({"x": bad})
+
+
+def awkward_floats(n: int = 100_000, seed: int = 0) -> np.ndarray:
+    """Finite doubles that stress 12-digit formatting, in seeded order."""
+    rng = np.random.default_rng(seed)
+    share = n // 6
+    bits = rng.integers(0, 2**64, size=2 * share, dtype=np.uint64).view(np.float64)
+    bits = bits[np.isfinite(bits)][:share]  # any bit pattern
+    signs = rng.choice([-1.0, 1.0], size=share)
+    subnormal = signs * rng.integers(1, 2**52, size=share, dtype=np.uint64).view(np.float64)
+    spread = signs * 10.0 ** rng.uniform(-320, 308, size=share)
+    ties = rng.integers(10**11, 10**12, size=share) + 0.5  # exact 12-digit halves
+    near_ties = ties * 10.0 ** rng.integers(-20, 20, size=share)
+    specials = np.array([0.0, -0.0, 1e308, -1e308, 5e-324, -5e-324, 2.2250738585072014e-308,
+                         1.7976931348623157e308, 1 / 3, 0.5, 123456789012.5, 999999999999.5])
+    values = np.concatenate([bits, subnormal, spread, ties, near_ties, specials])
+    values = np.concatenate([values, rng.uniform(-1, 1, size=n - values.size)])
+    rng.shuffle(values)
+    return values
+
+
+def test_array_text_is_fmt_of_each_value():
+    values = awkward_floats()
+    texts = [fmt(x) for x in values]
+    assert texts == [format(float(x) + 0.0, ".12g") for x in values]
+    assert dumps(values) == "[\n" + ",\n".join("  " + text for text in texts) + "\n]\n"
+    rows = "".join(f"{a},{b}\n" for a, b in zip(texts, reversed(texts)))
+    assert csv_text(["a", "b"], [values, values[::-1]]) == "a,b\n" + rows
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize(
+    "values", [[], [-0.0], [0.0], [1 / 3], [0.5, -0.0, 1 / 3, -2.5e-7, 1e30, 7.0, 0.1]]
+)
+def test_array_reads_as_its_list(values, dtype):
+    array = np.array(values, dtype=dtype)
+    assert dumps(array) == dumps(array.tolist())
+    nested = {"a": [array, {"b": array}], "c": array}
+    assert dumps(nested) == dumps(
+        {"a": [array.tolist(), {"b": array.tolist()}], "c": array.tolist()}
+    )
+
+
+@pytest.mark.parametrize("where", [0, 3, -1])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_anywhere_in_an_array_raises(bad, where):
+    values = np.linspace(-1.0, 1.0, 7)
+    values[where] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        dumps({"x": values})
+    with pytest.raises(ValueError, match="non-finite"):
+        csv_text(["t", "x"], [np.zeros(7), values])
+
+
+@pytest.mark.parametrize(
+    "t0, t1",
+    [(0.0, math.pi), (0.0, 1e-9), (-3.5, 2.0), (1e6, 1e6 + 7.25), (0.0, 1e300)],
+)
+def test_polyline_points_match_per_point_format(t0, t1):
+    rng = np.random.default_rng(7)
+    times = np.linspace(t0, t1, 800)
+    values = rng.uniform(0.0, 1.2, size=800)  # some above the clipping height
+    values[:4] = [0.0, -0.0, _Y_MAX, 1e-300]
+    points = " ".join(
+        f"{_px(float(t), t0, t1):.2f},{_py(min(float(v), _Y_MAX)):.2f}"
+        for t, v in zip(times, values)
+    )
+    assert _polyline(times, values, t0, t1, "c", "s") == (
+        f'<polyline class="c" points="{points}" fill="none" s/>'
+    )
 
 
 class TestCsv:
