@@ -4,25 +4,30 @@ JSON text has the layout of ``json.dumps(value, indent=2)`` and keeps
 dictionary insertion order, but every number is written by ``fmt`` with 12
 significant digits: the standard module's shortest round-trip floats are
 not the fixed decimal contract that byte-stable, human-diffable artifacts
-need.  CSV cells go through the same ``fmt``.
+need.  CSV cells use the same format.  Float arrays, CSV tables and SVG
+curves are formatted a whole array at a time, in one ``%`` call on a
+repeated template, with the same text that ``fmt`` gives each number.
 """
 
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
+
+_NUMBER = "%.12g"  # the number format; '%' gives the text of format(x, ".12g")
+
+
+def _finite(values):
+    """``values`` (a float or a float array) with -0.0 as 0.0; NaN or inf raise."""
+    if not np.isfinite(values).all():
+        raise ValueError("cannot serialize non-finite numbers")
+    return values + 0.0  # -0.0 + 0.0 is 0.0
 
 
 def fmt(x: float) -> str:
     """Decimal form of a float with 12 significant digits."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError("cannot serialize non-finite numbers")
-    if x == 0.0:
-        x = 0.0  # normalize -0.0
-    return format(x, ".12g")
+    return _NUMBER % _finite(float(x))
 
 
 def _emit(value, indent: int) -> str:
@@ -46,7 +51,11 @@ def _emit(value, indent: int) -> str:
         )
         return f"{{\n{items}\n{pad}}}" if items else "{}"
     if isinstance(value, (list, tuple, np.ndarray)):
-        items = ",\n".join(inner + _emit(item, indent + 1) for item in value)
+        if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind == "f":
+            numbers = tuple(_finite(value).tolist())
+            items = ",\n".join([inner + _NUMBER] * len(numbers)) % numbers
+        else:
+            items = ",\n".join(inner + _emit(item, indent + 1) for item in value)
         return f"[\n{items}\n{pad}]" if items else "[]"
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
@@ -60,8 +69,12 @@ def csv_text(header: list[str], columns: list[np.ndarray]) -> str:
     """CSV with the given column order, floats at 12 significant digits."""
     if len(header) != len(columns):
         raise ValueError("header and column counts differ")
-    rows = zip(*(map(fmt, column) for column in columns), strict=True)
-    return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
+    table = np.array(columns).T  # rows of cells; unequal columns raise ValueError
+    if table.dtype.kind == "c":  # a float cast would drop the imaginary part
+        raise TypeError(f"cannot serialize {table.dtype}")
+    numbers = tuple(_finite(table.astype(float)).ravel().tolist())
+    row = ",".join([_NUMBER] * len(columns)) + "\n"
+    return ",".join(header) + "\n" + (row * len(table)) % numbers
 
 
 _WIDTH, _HEIGHT = 800, 480
@@ -78,10 +91,10 @@ def _py(y: float) -> float:
 
 
 def _polyline(times, values, t0, t1, cls: str, style: str) -> str:
-    points = " ".join(
-        f"{_px(float(t), t0, t1):.2f},{_py(min(float(v), _Y_MAX)):.2f}"
-        for t, v in zip(times, values)
-    )
+    x = _px(np.asarray(times, dtype=float), t0, t1)
+    y = _py(np.minimum(np.asarray(values, dtype=float), _Y_MAX))
+    coordinates = tuple(_finite(np.column_stack([x, y])).ravel().tolist())
+    points = " ".join(["%.2f,%.2f"] * len(x)) % coordinates
     return f'<polyline class="{cls}" points="{points}" fill="none" {style}/>'
 
 

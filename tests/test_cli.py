@@ -305,6 +305,18 @@ class TestPlot:
         tree = ET.parse(fig)
         assert not [el for el in tree.iter() if el.get("class") == "ese-marker"]
 
+    # At t ~ 1e308 the amplitude sums overflow to NaN, and numpy warns.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_curve_exit_2_and_no_file(self, tmp_path, capsys):
+        wire = tmp_path / "wire.json"
+        fig = tmp_path / "fig.svg"
+        main(["construct", "example-4x4", "--out", str(wire)])
+        assert main(
+            ["plot", "--in", str(wire), "--t0", "0", "--t1", "1e308", "--out", str(fig)]
+        ) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not fig.exists()
+
     def test_malformed_input_leaves_no_file(self, tmp_path):
         fig = tmp_path / "fig.svg"
         assert main(

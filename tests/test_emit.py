@@ -191,6 +191,10 @@ class TestCsv:
         with pytest.raises(ValueError, match="header"):
             csv_text(["t"], [np.zeros(2), np.zeros(2)])
 
+    def test_complex_column_raises(self):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            csv_text(["t", "z"], [np.zeros(2), np.array([1.0, 1 + 2j])])
+
     def test_unequal_columns_raise(self):
         with pytest.raises(ValueError):
             csv_text(["t", "v"], [np.zeros(2), np.zeros(3)])
