@@ -369,6 +369,113 @@ class TestExitCodes:
         assert info.value.code == 2
 
 
+def _manifest_run(capsys, argv):
+    code = main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    return code, captured.out
+
+
+class TestManifest:
+    """The stdout manifest echoes the subcommand's options in parser order,
+    ``--in`` as ``in`` and without ``--out``; failed runs print nothing."""
+
+    @pytest.fixture
+    def wire(self, tmp_path):
+        path = tmp_path / "wire.json"
+        assert main(["construct", "example-4x4", "--out", str(path)]) == 0
+        return path
+
+    def assert_manifest(self, stdout, command, inputs, out):
+        manifest = json.loads(stdout)
+        assert list(manifest) == ["command", "inputs", "outputs", "tool_version"]
+        assert manifest["command"] == command
+        assert list(manifest["inputs"].items()) == inputs
+        assert manifest["outputs"] == [str(out)]
+
+    def test_construct_named_kind(self, tmp_path, capsys):
+        out = tmp_path / "k.json"
+        code, stdout = _manifest_run(
+            capsys, ["construct", "krawtchouk", "--N", 3, "--out", out]
+        )
+        assert code == 0
+        self.assert_manifest(stdout, "construct", [
+            ("kind", "krawtchouk"), ("N", 3), ("n", None), ("m", None),
+            ("in", None), ("tol", 1e-8),
+        ], out)
+
+    def test_construct_from_spectrum(self, tmp_path, capsys):
+        spectrum = tmp_path / "spectrum.json"
+        spectrum.write_text("[-2.5, -1.5, 1.5, 2.5]\n")
+        out = tmp_path / "doc.json"
+        code, stdout = _manifest_run(capsys, [
+            "construct", "from-spectrum", "--out", out, "--in", spectrum,
+            "--tol", "1e-6",
+        ])
+        assert code == 0
+        self.assert_manifest(stdout, "construct", [
+            ("kind", "from-spectrum"), ("N", None), ("n", None), ("m", None),
+            ("in", str(spectrum)), ("tol", 1e-6),
+        ], out)
+
+    def test_analyze(self, wire, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code, stdout = _manifest_run(capsys, ["analyze", "--out", out, "--in", wire])
+        assert code == 0
+        self.assert_manifest(stdout, "analyze", [("in", str(wire)), ("tol", 1e-8)], out)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_evolve(self, fmt, wire, tmp_path, capsys):
+        out = tmp_path / f"series.{fmt}"
+        code, stdout = _manifest_run(capsys, [
+            "evolve", "--format", fmt, "--steps", 5, "--t1", 2.5, "--t0", 0.5,
+            "--in", wire, "--out", out,
+        ])
+        assert code == 0
+        self.assert_manifest(stdout, "evolve", [
+            ("in", str(wire)), ("t0", 0.5), ("t1", 2.5), ("steps", 5), ("format", fmt),
+        ], out)
+
+    def test_plot(self, wire, tmp_path, capsys):
+        out = tmp_path / "fig.svg"
+        code, stdout = _manifest_run(capsys, [
+            "plot", "--out", out, "--tol", "1e-9", "--t1", 3, "--t0", 0, "--in", wire,
+        ])
+        assert code == 0
+        self.assert_manifest(stdout, "plot", [
+            ("in", str(wire)), ("t0", 0), ("t1", 3), ("tol", 1e-9),
+        ], out)
+
+    @pytest.mark.parametrize("code, argv", [
+        (2, ["construct", "gap-family", "--n", "2"]),
+        (2, ["analyze", "--in", "{missing}"]),
+        (2, ["evolve", "--in", "{wire}", "--t0", "1", "--t1", "1", "--steps", "4"]),
+        (2, ["plot", "--in", "{bad}", "--t0", "0", "--t1", "1"]),
+        (3, ["construct", "from-spectrum", "--in", "{undecidable}"]),
+        (3, ["analyze", "--in", "{weak}"]),
+        (3, ["plot", "--in", "{weak}", "--t0", "0", "--t1", "1"]),
+    ])
+    def test_failed_run_prints_nothing_and_writes_nothing(
+        self, code, argv, wire, tmp_path, capsys
+    ):
+        files = {
+            "wire": wire,
+            "missing": tmp_path / "missing.json",
+            "bad": tmp_path / "bad.json",
+            "undecidable": tmp_path / "undecidable.json",
+            "weak": tmp_path / "weak.json",
+        }
+        files["bad"].write_text("{not json")
+        files["undecidable"].write_text("[0.0, 1e-06, 1.000001]\n")
+        files["weak"].write_text(
+            json.dumps({"matrix": {"diag": [1.0, 0.0], "offdiag": [1e-9]}})
+        )
+        capsys.readouterr()
+        out = tmp_path / "out"
+        argv = [arg.format(**files) for arg in argv]
+        assert _manifest_run(capsys, [*argv, "--out", out]) == (code, "")
+        assert not out.exists()
+
+
 if __name__ == "__main__":
     for name, construct_args in GOLDEN_DOCUMENTS.items():
         with tempfile.TemporaryDirectory() as workdir:
