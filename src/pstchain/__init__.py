@@ -42,9 +42,7 @@ from .dynamics import (
 )
 from .families import (
     ChebyshevCombination,
-    FourSiteClosedForm,
     amplitude_as_chebyshev,
-    closed_form_4x4,
     closed_form_krawtchouk_x0,
     closed_form_surgery_x0,
     count_sign_changes,
@@ -63,7 +61,6 @@ __all__ = [
     "EigensolverError",
     "EseReport",
     "EseZero",
-    "FourSiteClosedForm",
     "JacobiMatrix",
     "MinOverlap",
     "NotChebyshevRepresentableError",
@@ -78,7 +75,6 @@ __all__ = [
     "amplitude_series",
     "amplitude_values",
     "check_persymmetry",
-    "closed_form_4x4",
     "closed_form_krawtchouk_x0",
     "closed_form_surgery_x0",
     "count_sign_changes",

@@ -1,17 +1,22 @@
 """Command-line surface: construct wires, analyze transfer, export, plot.
 
+Each ``cmd_*`` returns the text of its one output file.  ``main`` alone
+writes that text to ``--out``, only after all computation succeeded, so a
+failing run leaves no partial artifacts and prints nothing on stdout.  On
+success ``main`` prints a JSON manifest whose ``inputs`` echo the
+subcommand's options in parser order (``--in`` as ``in``, ``--out`` left
+out, since it is listed under ``outputs``).
+
 Exit codes: 0 success, 2 bad arguments or unreadable input, 3 numerical
-failure.  Output files are written only after all computation succeeded,
-so a failing run leaves no partial artifacts.
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -28,21 +33,6 @@ from .jacobi import (
     check_persymmetry,
     eigendecompose,
 )
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Record of one command invocation: inputs echoed, outputs written."""
-
-    command: str
-    inputs: dict
-    outputs: tuple[str, ...]
-    tool_version: str = __version__
-
-    def __post_init__(self):
-        for path in self.outputs:
-            if not (os.path.isfile(path) and os.path.getsize(path) > 0):
-                raise ValueError(f"declared output {path} is missing or empty")
 
 
 def _write(path: str, text: str) -> None:
@@ -85,9 +75,7 @@ def _certificate_dict(cert: PstCertificate) -> dict:
     return {
         "has_pst": cert.has_pst,
         "transfer_time": cert.transfer_time,
-        "gap_odd_integers": list(cert.gap_odd_integers)
-        if cert.gap_odd_integers is not None
-        else None,
+        "gap_odd_integers": cert.gap_odd_integers,
         "phase_re": cert.phase.real if cert.phase is not None else None,
         "phase_im": cert.phase.imag if cert.phase is not None else None,
     }
@@ -96,8 +84,8 @@ def _certificate_dict(cert: PstCertificate) -> dict:
 def _ese_dict(report: EseReport) -> dict:
     return {
         "zeros": [asdict(zero) for zero in report.zeros],
-        "unresolved": list(report.unresolved),
-        "early_pst_anomalies": list(report.early_pst_anomalies),
+        "unresolved": report.unresolved,
+        "early_pst_anomalies": report.early_pst_anomalies,
         "scan_resolution": report.scan_resolution,
         "tolerance": report.tolerance,
     }
@@ -124,7 +112,7 @@ _CONSTRUCT_KINDS = {
 }
 
 
-def cmd_construct(args: argparse.Namespace) -> RunManifest:
+def cmd_construct(args: argparse.Namespace) -> str:
     """Build a named wire and write its full spectral document."""
     kind = args.kind
     needs, factory = _CONSTRUCT_KINDS[kind]
@@ -149,10 +137,7 @@ def cmd_construct(args: argparse.Namespace) -> RunManifest:
         "persymmetry": asdict(check_persymmetry(chain, 1e-12)),
         "pst": _certificate_dict(cert),
     }
-    _write(args.out, dumps(document))
-    inputs = {"kind": kind, "N": args.N, "n": args.n, "m": args.m,
-              "in": args.input, "tol": args.tol}
-    return RunManifest(command="construct", inputs=inputs, outputs=(args.out,))
+    return dumps(document)
 
 
 def _transfer_analysis(
@@ -163,7 +148,7 @@ def _transfer_analysis(
     return cert, detect_ese(sd, cert) if cert.has_pst else None
 
 
-def cmd_analyze(args: argparse.Namespace) -> RunManifest:
+def cmd_analyze(args: argparse.Namespace) -> str:
     """Run transfer and exclusion analysis over a spectrum, document or matrix."""
     sd = _spectral_data_from_document(_load_json(args.input))
     cert, report = _transfer_analysis(sd, args.tol)
@@ -179,12 +164,10 @@ def cmd_analyze(args: argparse.Namespace) -> RunManifest:
         "ese": ese,
         "verdict": verdict,
     }
-    _write(args.out, dumps(document))
-    inputs = {"in": args.input, "tol": args.tol}
-    return RunManifest(command="analyze", inputs=inputs, outputs=(args.out,))
+    return dumps(document)
 
 
-def cmd_evolve(args: argparse.Namespace) -> RunManifest:
+def cmd_evolve(args: argparse.Namespace) -> str:
     """Export both boundary amplitudes over a uniform time grid."""
     sd = _spectral_data_from_document(_load_json(args.input))
     series = amplitude_series(sd, args.t0, args.t1, args.steps)
@@ -198,30 +181,22 @@ def cmd_evolve(args: argparse.Namespace) -> RunManifest:
         "abs_xN": np.abs(series.xN),
     }
     if args.format == "csv":
-        text = csv_text(list(columns), list(columns.values()))
-    else:
-        text = dumps({name: values for name, values in columns.items()})
-    _write(args.out, text)
-    inputs = {"in": args.input, "t0": args.t0, "t1": args.t1,
-              "steps": args.steps, "format": args.format}
-    return RunManifest(command="evolve", inputs=inputs, outputs=(args.out,))
+        return csv_text(list(columns), list(columns.values()))
+    return dumps(columns)
 
 
-def cmd_plot(args: argparse.Namespace) -> RunManifest:
+def cmd_plot(args: argparse.Namespace) -> str:
     """Render both boundary amplitudes to a standalone SVG with markers."""
     sd = _spectral_data_from_document(_load_json(args.input))
     series = amplitude_series(sd, args.t0, args.t1, 800)
     cert, report = _transfer_analysis(sd, args.tol)
-    svg = amplitude_svg(
+    return amplitude_svg(
         series.times,
         np.abs(series.x0),
         np.abs(series.xN),
         [zero.time for zero in report.zeros] if report is not None else [],
         cert.transfer_time,
     )
-    _write(args.out, svg)
-    inputs = {"in": args.input, "t0": args.t0, "t1": args.t1, "tol": args.tol}
-    return RunManifest(command="plot", inputs=inputs, outputs=(args.out,))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,17 +247,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        manifest = args.func(args)
-    except (ValueError, OSError, KeyError, TypeError, json.JSONDecodeError) as exc:
+        _write(args.out, args.func(args))
+    except (ValueError, OSError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ChainError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    sys.stdout.write(dumps(asdict(manifest)))
+    # argparse fills the namespace in declaration order: parser order
+    inputs = {
+        "in" if dest == "input" else dest: value
+        for dest, value in vars(args).items()
+        if dest not in ("command", "func", "out")
+    }
+    sys.stdout.write(dumps({
+        "command": args.command,
+        "inputs": inputs,
+        "outputs": [args.out],
+        "tool_version": __version__,
+    }))
     return 0
 
 

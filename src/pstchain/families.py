@@ -10,7 +10,6 @@ cos(t/2), which is where the sign-change counting lives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -65,13 +64,6 @@ class ChebyshevCombination:
         return np.polynomial.chebyshev.chebval(np.asarray(x, dtype=float), dense)
 
 
-class FourSiteClosedForm(NamedTuple):
-    """Boundary amplitude values of the four-site exemplar wire."""
-
-    x0: float
-    x3_modulus: float
-
-
 def krawtchouk_chain(N: int) -> JacobiMatrix:
     """Zero-diagonal chain with couplings sqrt((k+1)(N-k))/2 on N+1 sites."""
     if N < 1:
@@ -107,19 +99,6 @@ def surgery_spectrum(N: int) -> SpectrumRequest:
         raise ValueError("N must be an odd integer >= 3")
     upper = [(2 * k + 1) / 2 for k in range(1, (N + 1) // 2 + 1)]
     return SpectrumRequest([-v for v in reversed(upper)] + upper)
-
-
-def closed_form_4x4(t) -> FourSiteClosedForm:
-    """Closed-form boundary amplitudes of the four-site exemplar.
-
-    x0(t) = cos^3(t/2) (3 cos t - 2) and
-    |x3(t)| = |sin^3(t/2) (3 cos t + 2)|.
-    """
-    t = np.asarray(t, dtype=float)
-    c = np.cos(t)
-    x0 = np.cos(0.5 * t) ** 3 * (3.0 * c - 2.0)
-    x3 = np.abs(np.sin(0.5 * t) ** 3 * (3.0 * c + 2.0))
-    return FourSiteClosedForm(x0=x0, x3_modulus=x3)
 
 
 def closed_form_krawtchouk_x0(N: int, t):

@@ -439,12 +439,21 @@ def amplitude_series(
     eigenvalue and O(steps + sqrt(steps) S) memory.  A real or imaginary
     part at or below the cancellation floor, ``_NOISE_CLEARANCE`` times the
     boundary's total coefficient modulus, is round-off and is set to 0.
+
+    Before any work, the phases (lambda - c) t and c t, with c the
+    spectrum's midpoint, must be finite for |t| up to |t0| + |t1|, a bound
+    on both the grid's times and its span; otherwise ValueError names the
+    range.
     """
     if not t0 < t1:
         raise ValueError("need t0 < t1")
     if steps < 2:
         raise ValueError("need steps >= 2")
     t0, t1, steps = float(t0), float(t1), int(steps)
+    c, lam = sd._centred
+    reach = float(max(-lam[0], lam[-1], abs(c))) * (abs(t0) + abs(t1))
+    if not math.isfinite(reach):
+        raise ValueError(f"t0 = {t0!r}, t1 = {t1!r} give non-finite phases")
     coefficients = np.stack(
         [_boundary_coefficients(sd, "first"), _boundary_coefficients(sd, "last")],
         axis=1,

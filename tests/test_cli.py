@@ -8,6 +8,7 @@ change is intended, with ``PYTHONPATH=src python tests/test_cli.py``.
 import io
 import json
 import math
+import os
 import sys
 import tempfile
 import xml.etree.ElementTree as ET
@@ -277,6 +278,22 @@ class TestEvolve:
              "--steps", "4", "--out", str(tmp_path / "x.csv")]
         ) == 2
 
+    @pytest.mark.parametrize("t1, shown", [("1e308", "1e+308"), ("inf", "inf")])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_range_with_non_finite_phases_exit_2(self, t1, shown, fmt, tmp_path, capsys):
+        wire = tmp_path / "wire.json"
+        series = tmp_path / f"series.{fmt}"
+        main(["construct", "example-4x4", "--out", str(wire)])
+        capsys.readouterr()
+        assert main(
+            ["evolve", "--in", str(wire), "--t0", "0", "--t1", t1, "--steps", "11",
+             "--format", fmt, "--out", str(series)]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: t0 = 0.0, t1 = {shown} give non-finite phases\n"
+        assert captured.out == ""
+        assert not series.exists()
+
 
 class TestPlot:
     def test_four_site_figure(self, tmp_path):
@@ -305,16 +322,19 @@ class TestPlot:
         tree = ET.parse(fig)
         assert not [el for el in tree.iter() if el.get("class") == "ese-marker"]
 
-    # At t ~ 1e308 the amplitude sums overflow to NaN, and numpy warns.
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # At t ~ 1e308 the phases lambda t overflow.  The range is rejected
+    # before any amplitude is summed, so numpy never warns (an error here).
     def test_non_finite_curve_exit_2_and_no_file(self, tmp_path, capsys):
         wire = tmp_path / "wire.json"
         fig = tmp_path / "fig.svg"
         main(["construct", "example-4x4", "--out", str(wire)])
+        capsys.readouterr()
         assert main(
             ["plot", "--in", str(wire), "--t0", "0", "--t1", "1e308", "--out", str(fig)]
         ) == 2
-        assert "non-finite" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.err == "error: t0 = 0.0, t1 = 1e+308 give non-finite phases\n"
+        assert captured.out == ""
         assert not fig.exists()
 
     def test_malformed_input_leaves_no_file(self, tmp_path):
@@ -444,6 +464,21 @@ class TestManifest:
         self.assert_manifest(stdout, "plot", [
             ("in", str(wire)), ("t0", 0), ("t1", 3), ("tol", 1e-9),
         ], out)
+
+    @pytest.mark.parametrize("argv", [
+        ["construct", "example-4x4"],
+        ["analyze", "--in", "{wire}"],
+        ["evolve", "--in", "{wire}", "--t0", "0", "--t1", "1", "--steps", "4"],
+        ["evolve", "--in", "{wire}", "--t0", "0", "--t1", "1", "--steps", "4",
+         "--format", "json"],
+        ["plot", "--in", "{wire}", "--t0", "0", "--t1", "1"],
+    ])
+    def test_output_to_devnull(self, argv, wire, capsys):
+        # a character device: neither a regular file nor one with a size
+        argv = [arg.format(wire=wire) for arg in argv]
+        code, stdout = _manifest_run(capsys, [*argv, "--out", os.devnull])
+        assert code == 0
+        assert json.loads(stdout)["outputs"] == [os.devnull]
 
     @pytest.mark.parametrize("code, argv", [
         (2, ["construct", "gap-family", "--n", "2"]),

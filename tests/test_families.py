@@ -14,7 +14,6 @@ from pstchain import (
     SpectrumRequest,
     amplitude_as_chebyshev,
     amplitude_values,
-    closed_form_4x4,
     closed_form_krawtchouk_x0,
     closed_form_surgery_x0,
     count_sign_changes,
@@ -141,21 +140,32 @@ class TestGapFamilySpectrum:
             gap_family_spectrum(3, 0)
 
 
+def four_site_x3_modulus(t):
+    """The paper's |x_3(t)| = |sin^3(t/2) (3 cos t + 2)| for the four-site exemplar."""
+    t = np.asarray(t, dtype=float)
+    return np.abs(np.sin(0.5 * t) ** 3 * (3.0 * np.cos(t) + 2.0))
+
+
 class TestClosedForms:
+    # the four-site exemplar is surgery N = 3: x_0(t) = cos^3(t/2) (3 cos t - 2)
     def test_four_site_at_zero(self):
-        values = closed_form_4x4(0.0)
-        assert values.x0 == pytest.approx(1.0)
-        assert values.x3_modulus == pytest.approx(0.0)
+        assert closed_form_surgery_x0(3, 0.0) == pytest.approx(1.0)
+        assert four_site_x3_modulus(0.0) == pytest.approx(0.0)
 
     def test_four_site_at_exclusion_time(self):
-        values = closed_form_4x4(math.acos(2.0 / 3.0))
-        assert abs(values.x0) < 1e-15
-        assert values.x3_modulus == pytest.approx(4.0 / 6.0**1.5, abs=1e-14)
+        t = math.acos(2.0 / 3.0)
+        assert abs(closed_form_surgery_x0(3, t)) < 1e-15
+        assert four_site_x3_modulus(t) == pytest.approx(4.0 / 6.0**1.5, abs=1e-14)
 
     def test_four_site_at_transfer_time(self):
-        values = closed_form_4x4(math.pi)
-        assert abs(values.x0) < 1e-15
-        assert values.x3_modulus == pytest.approx(1.0, abs=1e-14)
+        assert abs(closed_form_surgery_x0(3, math.pi)) < 1e-15
+        assert four_site_x3_modulus(math.pi) == pytest.approx(1.0, abs=1e-14)
+
+    def test_four_site_x3_matches_spectral_sum(self):
+        sd = persymmetric_weights(surgery_spectrum(3))
+        t = np.linspace(0.0, 2 * math.pi, 300)
+        xN = amplitude_values(sd, t, "last")
+        assert np.abs(np.abs(xN) - four_site_x3_modulus(t)).max() < 1e-13
 
     def test_equidistant_simple_values(self):
         assert closed_form_krawtchouk_x0(2, math.pi) == pytest.approx(0.0, abs=1e-15)
@@ -172,9 +182,8 @@ class TestClosedForms:
 
     def test_surgery_reduces_to_four_site(self):
         t = np.linspace(0.0, 2 * math.pi, 200)
-        np.testing.assert_allclose(
-            closed_form_surgery_x0(3, t), closed_form_4x4(t).x0, atol=1e-15
-        )
+        paper = np.cos(0.5 * t) ** 3 * (3.0 * np.cos(t) - 2.0)
+        np.testing.assert_allclose(closed_form_surgery_x0(3, t), paper, atol=1e-15)
 
     def test_surgery_at_zero(self):
         assert closed_form_surgery_x0(7, 0.0) == pytest.approx(1.0)

@@ -9,7 +9,7 @@ from pstchain import (
     SpectrumRequest,
     amplitude_values,
     check_persymmetry,
-    closed_form_4x4,
+    closed_form_surgery_x0,
     eigendecompose,
     gap_family_spectrum,
     persymmetric_weights,
@@ -86,7 +86,7 @@ class TestPersymmetricWeights:
         # cross-check: the resulting x0 must match the four-site closed form
         t = np.linspace(0.0, 2 * math.pi, 300)
         x0 = amplitude_values(sd, t, "first")
-        assert np.abs(x0 - closed_form_4x4(t).x0).max() < 1e-13
+        assert np.abs(x0 - closed_form_surgery_x0(3, t)).max() < 1e-13
 
     def test_matches_oracle_on_random_spectra(self):
         rng = np.random.default_rng(5)

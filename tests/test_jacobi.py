@@ -426,6 +426,31 @@ class TestAmplitudeSeries:
         with pytest.raises(ValueError, match="steps"):
             amplitude_series(sd, 0.0, 1.0, 1)
 
+    @pytest.mark.parametrize("t0, t1", [
+        (0.0, 1e308),
+        (0.0, math.inf),
+        (-math.inf, 0.0),
+        (-1e308, 1e308),
+        # each time's phase is finite, the span's phase (lambda - c)(t1 - t0) is not
+        (-6e307, 6e307),
+    ])
+    def test_rejects_range_with_non_finite_phases(self, t0, t1):
+        sd = eigendecompose(four_site_example())
+        with pytest.raises(ValueError, match=r"t0 = .*, t1 = .* non-finite phases"):
+            amplitude_series(sd, t0, t1, 11)
+
+    def test_rejects_non_finite_midpoint_phase(self):
+        # (lambda - c) t = 5e299 is finite, c t = 1e309 is not
+        sd = SpectralData(eigenvalues=[1e10, 1e10 + 10.0], weights=[0.5, 0.5])
+        with pytest.raises(ValueError, match="non-finite phases"):
+            amplitude_series(sd, 0.0, 1e299, 11)
+
+    def test_accepts_large_finite_range(self):
+        # warnings are errors in this suite, so no phase overflows here
+        sd = eigendecompose(four_site_example())
+        series = amplitude_series(sd, -1e306, 1e306, 11)
+        assert np.isfinite(series.x0).all() and np.isfinite(series.xN).all()
+
     def test_type_enforces_unitarity_bound(self):
         with pytest.raises(ValueError, match="unitarity"):
             AmplitudeSeries(times=[0.0, 1.0], x0=[1.0, 1.5], xN=[0.0, 0.0])
