@@ -113,7 +113,7 @@ _CONSTRUCT_KINDS = {
 
 
 def cmd_construct(args: argparse.Namespace) -> str:
-    """Build a named wire and write its full spectral document."""
+    """Build a named wire and return its full spectral document."""
     kind = args.kind
     needs, factory = _CONSTRUCT_KINDS[kind]
     missing = [
