@@ -443,7 +443,9 @@ def amplitude_series(
     Before any work, the phases (lambda - c) t and c t, with c the
     spectrum's midpoint, must be finite for |t| up to |t0| + |t1|, a bound
     on both the grid's times and its span; otherwise ValueError names the
-    range.
+    range.  The bound is conservative: it may reject a range whose grid
+    phases are all finite, since only a two-step grid has the whole span
+    as one step.
     """
     if not t0 < t1:
         raise ValueError("need t0 < t1")

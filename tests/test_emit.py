@@ -14,7 +14,16 @@ import random
 import numpy as np
 import pytest
 
-from pstchain.emit import _Y_MAX, _polyline, _px, _py, csv_text, dumps, fmt
+from pstchain.emit import (
+    _Y_MAX,
+    _polyline,
+    _px,
+    _py,
+    amplitude_svg,
+    csv_text,
+    dumps,
+    fmt,
+)
 
 
 def random_text(rng: random.Random) -> str:
@@ -157,6 +166,14 @@ def test_non_finite_anywhere_in_an_array_raises(bad, where):
         dumps({"x": values})
     with pytest.raises(ValueError, match="non-finite"):
         csv_text(["t", "x"], [np.zeros(7), values])
+    times = np.linspace(0.0, 1.0, 7)
+    with pytest.raises(ValueError, match="non-finite"):
+        _polyline(values, np.zeros(7), -1.0, 1.0, "c", "s")
+    if bad != math.inf:  # an amplitude of +inf is clipped to the top of the plot
+        with pytest.raises(ValueError, match="non-finite"):
+            _polyline(times, values, 0.0, 1.0, "c", "s")
+        with pytest.raises(ValueError, match="non-finite"):
+            amplitude_svg(times, values, np.zeros(7), [], None)
 
 
 @pytest.mark.parametrize(

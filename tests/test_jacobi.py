@@ -426,18 +426,23 @@ class TestAmplitudeSeries:
         with pytest.raises(ValueError, match="steps"):
             amplitude_series(sd, 0.0, 1.0, 1)
 
-    @pytest.mark.parametrize("t0, t1", [
-        (0.0, 1e308),
-        (0.0, math.inf),
-        (-math.inf, 0.0),
-        (-1e308, 1e308),
-        # each time's phase is finite, the span's phase (lambda - c)(t1 - t0) is not
-        (-6e307, 6e307),
+    @pytest.mark.parametrize("t0, t1, steps", [
+        (0.0, 1e308, 11),
+        (0.0, math.inf, 11),
+        (-math.inf, 0.0, 11),
+        (-1e308, 1e308, 11),
+        # each time's phase is finite; with two steps the grid's one step is
+        # the whole span, and its phase (lambda - c)(t1 - t0) is not
+        (-6e307, 6e307, 2),
+        # the bound is conservative: with 11 steps every phase the grid
+        # computes here is finite, but the span's phase is not, so the
+        # range is rejected all the same
+        (-6e307, 6e307, 11),
     ])
-    def test_rejects_range_with_non_finite_phases(self, t0, t1):
+    def test_rejects_range_with_non_finite_phases(self, t0, t1, steps):
         sd = eigendecompose(four_site_example())
         with pytest.raises(ValueError, match=r"t0 = .*, t1 = .* non-finite phases"):
-            amplitude_series(sd, t0, t1, 11)
+            amplitude_series(sd, t0, t1, steps)
 
     def test_rejects_non_finite_midpoint_phase(self):
         # (lambda - c) t = 5e299 is finite, c t = 1e309 is not
