@@ -15,7 +15,10 @@ exponentials per eigenvalue for n grid points, holding n values rather than
 a points x sites matrix.  Interior local minima whose neighboring grid
 points sit on the cancellation floor are dropped; the rest are refined
 together by one batched golden-section sweep, in which each step evaluates
-the new points of every open bracket in a single ``amplitude_values`` call.
+the new points of every open bracket in a single spectral sum
+(``jacobi._spectral_sum``).  Every time the search evaluates lies inside
+(0, T0), so it calls that kernel without ``amplitude_values``' check of
+the time.
 """
 
 from __future__ import annotations
@@ -31,10 +34,11 @@ from .inverse import SpectrumRequest, persymmetric_weights
 from .jacobi import (
     _NOISE_CLEARANCE,
     SpectralData,
+    _boundary_coefficients,
     _frame,
     _grid_sum,
+    _spectral_sum,
     amplitude,
-    amplitude_values,
 )
 
 # Largest odd-integer index admitted in the transfer-time search.
@@ -188,7 +192,9 @@ def detect_pst(req: SpectrumRequest, tol: float = 1e-8) -> PstCertificate:
 
 
 def _x0_squared(sd: SpectralData, times) -> np.ndarray:
-    return np.abs(amplitude_values(sd, times, "first")) ** 2
+    # detect_ese's times lie inside (0, T0) and min_overlap's inside the
+    # range it has just scanned, so no time check is needed
+    return np.abs(_spectral_sum(sd, times, sd.weights)) ** 2
 
 
 def _golden_minimize(
@@ -247,7 +253,7 @@ def detect_ese(sd: SpectralData, cert: PstCertificate) -> EseReport:
     points lies below the noise clearance, since no isolated zero can be
     resolved there.  The surviving minima are refined together by one
     batched golden-section sweep; a refined minimum is certified as a zero
-    when its residual, evaluated directly by ``amplitude_values``, is below
+    when its residual, evaluated directly by the spectral sum, is below
     ``_ZERO_RESIDUAL_TOL`` (1e-10), which the report carries as ``tolerance``.
     """
     if not cert.has_pst:
@@ -267,10 +273,11 @@ def detect_ese(sd: SpectralData, cert: PstCertificate) -> EseReport:
         sd, times[kept - 1], times[kept + 1], _REFINE_WIDTH_FRAC * transfer_time
     )
     t_conv = t_star[converged]
-    residual = np.abs(amplitude_values(sd, t_conv, "first"))
+    residual = np.abs(_spectral_sum(sd, t_conv, sd.weights))
     small = residual < _ZERO_RESIDUAL_TOL
     t_zero, residual = t_conv[small], residual[small]
-    last_site = np.abs(amplitude_values(sd, t_zero, "last"))
+    last = _boundary_coefficients(sd, "last")
+    last_site = np.abs(_spectral_sum(sd, t_zero, last))
     saturated = last_site >= 1.0 - _ANOMALY_MARGIN
     clear = ~saturated
     deduped: list[EseZero] = []

@@ -9,13 +9,15 @@ sum_s w_s exp(-i lambda_s t), and for mirror-symmetric (persymmetric)
 wires the site-N amplitude is the same sum with alternating signs.
 
 One pivot recurrence serves the whole eigensolver: the guarded LDL^T
-pivots of T - sigma I.  Eigenvalues are located by bisection on their sign
-count (the Sturm count); eigenvectors come from twisted factorizations
-that join the forward and backward pivots at the eigenvalue, one sweep each
-way for all eigenvalues at once.  For the supported sizes (at most
-``MAX_SITES`` sites) and simple, well separated spectra this gives
-eigenpair residuals and weights at working precision, also for strongly
-localized eigenvectors.
+pivots of T - sigma I.  Eigenvalues are located by multisection on their
+sign count (the Sturm count): each pass splits every open interval into
+``_SECTIONS`` equal parts and counts at all their interior shifts in one
+sweep, so about 11 passes reach working precision.  Eigenvectors come from
+twisted factorizations that join the forward and backward pivots at the
+eigenvalue, one sweep each way for all eigenvalues at once.  For the
+supported sizes (at most ``MAX_SITES`` sites) and simple, well separated
+spectra this gives eigenpair residuals and weights at working precision,
+also for strongly localized eigenvectors.
 
 The kernels work in one affine frame, ``_frame``: on (lambda - c) 2^-e,
 with c the midpoint and 2^e the power of two above the half-span (the
@@ -59,7 +61,11 @@ GAP_RTOL = 1e-10
 Site = Literal["first", "last"]
 
 _UNITARITY_SLACK = 1e-9
-_BISECT_MAX_ITER = 160
+
+# Multisection: each pass splits every open interval into this many equal
+# parts, narrowing it by 5 bits; 32 passes thus cover 160 bits.
+_SECTIONS = 32
+_BISECT_MAX_ITER = 32
 
 # Cancellation floor of a spectral sum per unit of total coefficient modulus.
 _NOISE_CLEARANCE = 1e-12
@@ -227,13 +233,19 @@ def _pivots(diag, off2, shifts, pivmin) -> np.ndarray:
 def _bisect_eigenvalues(diag, off, off2, pivmin) -> np.ndarray:
     """All eigenvalues of the tridiagonal matrix, in increasing order.
 
-    Bisection on the Sturm count halves every interval until its width is
-    at most max(atol, 2 eps max(|lo|, |hi|)), with atol = eps times the
-    larger Gershgorin bound (Kahan's stopping rule, as in LAPACK
-    ``dstebz``).  Each eigenvalue is then accurate to about eps times the
-    spectral scale, and an eigenvalue at or near zero stops after about
-    as many sweeps as any other.  Intervals that can no longer be split in
-    floating point also stop, and the sweep budget bounds the loop.
+    Multisection on the Sturm count (Lo, Philippe & Sameh 1987): each pass
+    evaluates every open interval (lo, hi) at ``_SECTIONS - 1`` equally
+    spaced interior shifts in one ``_pivots`` call.  The new hi is the first
+    shift whose count reaches the eigenvalue's index and the new lo is the
+    shift just before it, so count(lo) < index <= count(hi) holds by
+    construction and each pass narrows the interval ``_SECTIONS``-fold.
+    An interval stops once its width is at most
+    max(atol, 2 eps max(|lo|, |hi|)), with atol = eps times the larger
+    Gershgorin bound (Kahan's stopping rule, as in LAPACK ``dstebz``).
+    Each eigenvalue is then accurate to about eps times the spectral scale,
+    and an eigenvalue at or near zero stops after about as many passes as
+    any other.  Intervals that can no longer be split in floating point
+    also stop, and the pass budget bounds the loop.
     """
     n = diag.size
     radius = np.zeros(n)
@@ -247,17 +259,22 @@ def _bisect_eigenvalues(diag, off, off2, pivmin) -> np.ndarray:
     lo = np.full(n, glo - pad)
     hi = np.full(n, ghi + pad)
     want = np.arange(1, n + 1)
+    fractions = np.arange(1, _SECTIONS)[:, None] / _SECTIONS
     for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         width = np.maximum(atol, 2.0 * eps * np.maximum(np.abs(lo), np.abs(hi)))
         active = np.nonzero((hi - lo > width) & (mid > lo) & (mid < hi))[0]
         if not active.size:
             break
-        shifts = mid[active]
-        counts = np.count_nonzero(_pivots(diag, off2, shifts, pivmin) < 0.0, axis=0)
-        go_down = counts >= want[active]
-        hi[active] = np.where(go_down, shifts, hi[active])
-        lo[active] = np.where(go_down, lo[active], shifts)
+        a, b = lo[active], hi[active]
+        grid = np.vstack([a, a + fractions * (b - a), b])
+        counts = np.count_nonzero(_pivots(diag, off2, grid[1:-1], pivmin) < 0.0, axis=0)
+        # b closes the column: its count reaches want by the invariant
+        reached = np.vstack([counts >= want[active], np.ones(active.size, bool)])
+        first = np.argmax(reached, axis=0) + 1
+        columns = np.arange(active.size)
+        lo[active] = grid[first - 1, columns]
+        hi[active] = grid[first, columns]
     return 0.5 * (lo + hi)
 
 
@@ -329,13 +346,13 @@ def _eigensystem(J: JacobiMatrix) -> tuple[SpectralData, np.ndarray]:
 def eigendecompose(J: JacobiMatrix) -> SpectralData:
     """Eigenvalues (increasing) and first-component weights of the wire.
 
-    Eigenvalues come from Sturm bisection, eigenvectors from twisted
-    factorization; weights are the squared first components, renormalized
-    to sum to exactly 1.  Couplings > 0 guarantee the spectrum is simple,
-    and a computed gap below the simplicity tolerance raises
-    :class:`EigensolverError` with the offending index.  The wire is solved
-    once per instance; later calls, and ``full_evolution_column`` on the
-    same instance, reuse that solve.
+    Eigenvalues come from multisection on the Sturm count (about 11 sweeps
+    over the sites), eigenvectors from twisted factorization; weights are
+    the squared first components, renormalized to sum to exactly 1.
+    Couplings > 0 guarantee the spectrum is simple, and a computed gap below
+    the simplicity tolerance raises :class:`EigensolverError` with the
+    offending index.  The wire is solved once per instance; later calls, and
+    ``full_evolution_column`` on the same instance, reuse that solve.
     """
     return J._spectral[0]
 
@@ -371,6 +388,28 @@ def _boundary_coefficients(sd: SpectralData, site: Site) -> np.ndarray:
         signs = np.where((sd.n_sites - 1 + s) % 2 == 0, 1.0, -1.0)
         return signs * sd.weights
     raise ValueError("site must be 'first' or 'last'")
+
+
+def _finite_phases(sd: SpectralData, t_max: float) -> bool:
+    """Whether the phases (lambda - c) t and c t are finite for all |t| <= t_max.
+
+    c is the spectrum's midpoint.  The product is formed on Python floats,
+    which overflow to inf without a warning; a NaN bound gives False.
+    """
+    c, lam = sd._centred
+    return math.isfinite(float(max(-lam[0], lam[-1], abs(c))) * t_max)
+
+
+def _times(sd: SpectralData, times) -> np.ndarray:
+    """``times`` as a float array of at least one dimension, every phase finite.
+
+    ValueError names the first time whose phases are not finite.
+    """
+    t = np.atleast_1d(np.asarray(times, dtype=float))
+    if not _finite_phases(sd, float(np.abs(t).max(initial=0.0))):
+        bad = next(x for x in t.tolist() if not _finite_phases(sd, abs(x)))
+        raise ValueError(f"t = {bad!r} gives non-finite phases")
+    return t
 
 
 def _spectral_sum(sd: SpectralData, times, coefficients) -> np.ndarray:
@@ -415,8 +454,12 @@ def _grid_sum(
 
 
 def amplitude_values(sd: SpectralData, times, site: Site = "first") -> np.ndarray:
-    """Boundary amplitude at every entry of ``times`` (vectorized)."""
-    return _spectral_sum(sd, times, _boundary_coefficients(sd, site))
+    """Boundary amplitude at every entry of ``times`` (vectorized).
+
+    A time whose phases are not finite (for example inf, nan or 1e308 on
+    a unit-scale spectrum) raises ValueError naming it.
+    """
+    return _spectral_sum(sd, _times(sd, times), _boundary_coefficients(sd, site))
 
 
 def amplitude(sd: SpectralData, site: Site, t: float) -> complex:
@@ -452,9 +495,7 @@ def amplitude_series(
     if steps < 2:
         raise ValueError("need steps >= 2")
     t0, t1, steps = float(t0), float(t1), int(steps)
-    c, lam = sd._centred
-    reach = float(max(-lam[0], lam[-1], abs(c))) * (abs(t0) + abs(t1))
-    if not math.isfinite(reach):
+    if not _finite_phases(sd, abs(t0) + abs(t1)):
         raise ValueError(f"t0 = {t0!r}, t1 = {t1!r} give non-finite phases")
     coefficients = np.stack(
         [_boundary_coefficients(sd, "first"), _boundary_coefficients(sd, "last")],
@@ -474,7 +515,8 @@ def full_evolution_column(J: JacobiMatrix, t: float) -> np.ndarray:
 
     Component i is the spectral sum with coefficients v_i(s) v_0(s).  The
     eigendecomposition is computed once per instance and shared with
-    ``eigendecompose``, so each further time costs one spectral sum.
+    ``eigendecompose``, so each further time costs one spectral sum.  A time
+    whose phases are not finite raises ValueError naming it.
     """
     sd, vectors = J._spectral
-    return _spectral_sum(sd, t, (vectors * vectors[0]).T)[0]
+    return _spectral_sum(sd, _times(sd, t), (vectors * vectors[0]).T)[0]

@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pstchain.cli import main
+from pstchain import cli
+from pstchain.cli import build_parser, main
 
 
 GOLDEN_CLI = Path(__file__).parent / "golden" / "cli"
@@ -509,6 +510,33 @@ class TestManifest:
         argv = [arg.format(**files) for arg in argv]
         assert _manifest_run(capsys, [*argv, "--out", out]) == (code, "")
         assert not out.exists()
+
+
+class TestParser:
+    def test_main_builds_the_parser_once(self, tmp_path, capsys, monkeypatch):
+        built = []
+
+        def counting():
+            built.append(None)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        try:
+            wire = tmp_path / "wire.json"
+            for _ in range(3):
+                assert main(["construct", "example-4x4", "--out", str(wire)]) == 0
+            # argparse exits on a bad command line; the parser stays usable
+            with pytest.raises(SystemExit):
+                main(["construct", "no-such-kind", "--out", str(wire)])
+            assert main(["analyze", "--in", str(wire), "--out", os.devnull]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+        capsys.readouterr()
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
 
 
 if __name__ == "__main__":

@@ -256,16 +256,17 @@ class TestDetectEse:
         # every bracket advances in the same batched evaluation, so the call
         # count follows the golden-section depth, not the number of minima;
         # the scan itself goes through the factored grid kernel, so only the
-        # refinement and the checks send points through amplitude_values
+        # refinement and the checks send points through the spectral sum
         req = gap_family_spectrum(20, 9)
         sd, cert = persymmetric_weights(req), detect_pst(req)
         points = []
+        spectral_sum = dynamics._spectral_sum
 
-        def counted(sd, times, *args, **kwargs):
+        def counted(sd, times, coefficients):
             points.append(np.size(times))
-            return amplitude_values(sd, times, *args, **kwargs)
+            return spectral_sum(sd, times, coefficients)
 
-        monkeypatch.setattr(dynamics, "amplitude_values", counted)
+        monkeypatch.setattr(dynamics, "_spectral_sum", counted)
         report = detect_ese(sd, cert)
         assert len(report.zeros) == 9
         assert report.candidates > 64

@@ -1,6 +1,7 @@
 """Core types, eigensolver, and boundary amplitude evaluation."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -41,6 +42,57 @@ def random_persymmetric(rng, n):
         gaps = np.diff(sd.eigenvalues)
         if gaps.min() > 1e-6 * np.abs(sd.eigenvalues).max():
             return J
+
+
+# seeded wire draws: seed, size bound (exclusive), diagonal range, couplings
+DRAWS = {
+    "generic": (11, 30, 3.0, (0.1, 2.0)),
+    # strongly localized eigenvectors: large on-site disorder, weak couplings
+    "localized": (31, 42, 10.0, (0.05, 1.0)),
+}
+
+
+def random_wires(kind, count=10):
+    seed, max_sites, diag_range, off_range = DRAWS[kind]
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, max_sites))
+        yield JacobiMatrix(
+            diag=rng.uniform(-diag_range, diag_range, size=n),
+            offdiag=rng.uniform(*off_range, size=n - 1),
+        )
+
+
+def sturm_pivmin(J):
+    # LAPACK's pivot guard: b^2 / pivmin cannot overflow
+    return np.finfo(float).tiny * max(1.0, float(J.offdiag.max()) ** 2)
+
+
+def plain_bisection(J, halvings=64):
+    """Eigenvalues of J by one Sturm count per halving of each interval.
+
+    An independent reference for the solver: no frame, no multisection and
+    no stopping rule; 64 halvings of the Gershgorin interval leave a width
+    far below eps times the spectral scale.
+    """
+    pivmin = sturm_pivmin(J)
+    radius = np.zeros(J.n_sites)
+    radius[:-1] += J.offdiag
+    radius[1:] += J.offdiag
+    lo = np.full(J.n_sites, (J.diag - radius).min())
+    hi = np.full(J.n_sites, (J.diag + radius).max())
+    want = np.arange(1, J.n_sites + 1)
+    for _ in range(halvings):
+        mid = 0.5 * (lo + hi)
+        count = np.zeros(J.n_sites, dtype=int)
+        d = np.ones(J.n_sites)
+        for i in range(J.n_sites):
+            d = J.diag[i] - mid - (J.offdiag[i - 1] ** 2 / d if i else 0.0)
+            d = np.where(np.abs(d) < pivmin, -pivmin, d)
+            count += d < 0.0
+        hi = np.where(count >= want, mid, hi)
+        lo = np.where(count >= want, lo, mid)
+    return 0.5 * (lo + hi)
 
 
 def to_dense(J):
@@ -135,30 +187,27 @@ class TestEigendecompose:
             assert np.abs(sd.eigenvalues - lam_ref).max() < 1e-12 * scale
             assert np.abs(sd.weights - vec_ref[0] ** 2).max() < 1e-11
 
-    @pytest.mark.parametrize(
-        "seed,max_sites,diag_range,off_range",
-        [
-            (11, 30, 3.0, (0.1, 2.0)),
-            # strongly localized eigenvectors: large on-site disorder, weak
-            # couplings
-            (31, 42, 10.0, (0.05, 1.0)),
-        ],
-        ids=["generic", "localized"],
-    )
-    def test_eigenpair_residuals(self, seed, max_sites, diag_range, off_range):
-        rng = np.random.default_rng(seed)
-        for _ in range(10):
-            n = int(rng.integers(2, max_sites))
-            J = JacobiMatrix(
-                diag=rng.uniform(-diag_range, diag_range, size=n),
-                offdiag=rng.uniform(*off_range, size=n - 1),
-            )
+    @pytest.mark.parametrize("kind", DRAWS)
+    def test_eigenpair_residuals(self, kind):
+        for J in random_wires(kind):
             sd, vectors = _eigensystem(J)
             dense = to_dense(J)
             norm = np.abs(sd.eigenvalues).max()
             residual = np.abs(dense @ vectors - vectors * sd.eigenvalues).max()
             assert residual <= 1e-14 * max(1.0, norm)
-            assert np.abs(vectors.T @ vectors - np.eye(n)).max() <= 1e-12
+            assert np.abs(vectors.T @ vectors - np.eye(J.n_sites)).max() <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["krawtchouk", *DRAWS])
+    def test_matches_plain_bisection(self, kind):
+        if kind == "krawtchouk":
+            wires = [krawtchouk_chain(N) for N in (1, 2, 3, 20, 39, 40)]
+        else:
+            wires = random_wires(kind)
+        eps = np.finfo(float).eps
+        for J in wires:
+            lam = eigendecompose(J).eigenvalues
+            scale = np.abs(lam).max()
+            assert np.abs(lam - plain_bisection(J)).max() <= 2 * eps * scale
 
     @pytest.mark.parametrize("k", [-250, -150, -100, -50, 50, 150, 200, 300])
     def test_scaled_wire(self, k):
@@ -194,13 +243,41 @@ class TestEigendecompose:
         with pytest.raises(EigensolverError, match="too large"):
             eigendecompose(JacobiMatrix(diag=[huge, huge], offdiag=[huge]))
 
-    @pytest.mark.parametrize("N", range(2, 41, 2))
-    def test_bisection_sweeps_odd_krawtchouk(self, N, monkeypatch):
-        # odd site counts put an eigenvalue at exactly 0
+    @pytest.mark.parametrize("case", [*range(1, 41), *DRAWS])
+    def test_bisection_sweeps_odd_krawtchouk(self, case, monkeypatch):
+        # every Krawtchouk chain (odd site counts put an eigenvalue at
+        # exactly 0) and the seeded draws: 32-way multisection takes 11
+        # passes on each
+        if isinstance(case, int):
+            wires = [krawtchouk_chain(case)]
+        else:
+            wires = random_wires(case)
         calls = count_calls(monkeypatch, "_pivots")
-        eigendecompose(krawtchouk_chain(N))
-        # the twisted factorization adds one forward and one backward sweep
-        assert len(calls) - 2 <= 64
+        for J in wires:
+            calls.clear()
+            _eigensystem(J)
+            # the twisted factorization adds one forward and one backward sweep
+            assert len(calls) - 2 <= 12
+
+    @pytest.mark.parametrize("kind", ["krawtchouk", "localized"])
+    def test_sturm_count_is_monotone(self, kind):
+        # the guarded recurrence's negative-pivot count never falls as the
+        # shift rises, also between an eigenvalue and its float neighbours
+        if kind == "krawtchouk":
+            J = krawtchouk_chain(40)
+        else:
+            J = max(random_wires(kind), key=lambda wire: wire.n_sites)
+        lam = eigendecompose(J).eigenvalues
+        shifts = np.sort(np.concatenate([
+            np.linspace(lam[0] - 1.0, lam[-1] + 1.0, 4001),
+            np.nextafter(lam, -np.inf),
+            lam,
+            np.nextafter(lam, np.inf),
+        ]))
+        pivots = jacobi._pivots(J.diag, J.offdiag**2, shifts, sturm_pivmin(J))
+        counts = np.count_nonzero(pivots < 0.0, axis=0)
+        assert np.all(np.diff(counts) >= 0)
+        assert counts[0] == 0 and counts[-1] == J.n_sites
 
     @pytest.mark.parametrize(
         "diag,offdiag", [([1.0, 0.0], [1e-9]), ([1.0, 0.0, 0.5], [1e-9, 0.3])]
@@ -323,6 +400,27 @@ class TestAmplitude:
         sd = eigendecompose(four_site_example())
         with pytest.raises(ValueError, match="site"):
             amplitude(sd, "middle", 1.0)
+
+    @pytest.mark.parametrize("t", [1e308, -1e308, math.inf, -math.inf, math.nan])
+    def test_rejects_time_with_non_finite_phases(self, t):
+        # warnings are errors in this suite, so the check runs before any
+        # phase is formed
+        J = four_site_example()
+        sd = eigendecompose(J)
+        message = re.escape(f"t = {t!r} gives non-finite phases")
+        with pytest.raises(ValueError, match=message):
+            amplitude(sd, "first", t)
+        with pytest.raises(ValueError, match=message):
+            amplitude_values(sd, [0.0, 1.0, t, 2.0], "last")
+        with pytest.raises(ValueError, match=message):
+            full_evolution_column(J, t)
+
+    def test_accepts_large_finite_time(self):
+        J = four_site_example()
+        sd = eigendecompose(J)
+        for site in ("first", "last"):
+            assert abs(amplitude(sd, site, 1e306)) <= 1.0 + 1e-12
+        assert abs(np.linalg.norm(full_evolution_column(J, -1e306)) - 1.0) < 1e-10
 
 
 class TestGridSum:
