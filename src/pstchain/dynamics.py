@@ -14,8 +14,8 @@ grid sum (``jacobi._grid_sum``): one matrix product over O(sqrt(n))
 exponentials per eigenvalue for n grid points, holding n values rather than
 a points x sites matrix.  Interior local minima whose neighboring grid
 points sit on the cancellation floor are dropped; the rest are refined
-together by one batched golden-section sweep, in which each step evaluates
-the new points of every open bracket in a single spectral sum
+together by Newton's method on d|x_0|^2/dt, in which each step evaluates
+x_0, x_0' and x_0'' at every open iterate in a single spectral sum
 (``jacobi._spectral_sum``).  Every time the search evaluates lies inside
 (0, T0), so it calls that kernel without ``amplitude_values``' check of
 the time.
@@ -35,6 +35,7 @@ from .jacobi import (
     _NOISE_CLEARANCE,
     SpectralData,
     _boundary_coefficients,
+    _finite_phases,
     _frame,
     _grid_sum,
     _spectral_sum,
@@ -47,10 +48,11 @@ _ODD_CAP = 10_000
 # Scan step: min(T, 2*pi/spectral span) divided by this many subdivisions.
 _SCAN_DIVISIONS = 256
 
-# Golden-section bracket target, as a fraction of the scan interval scale,
-# and the iteration budget after which a candidate counts as unresolved.
+# Newton step below which a minimum has converged, as a fraction of the
+# scan interval scale, and the step budget (twice the most that any named
+# or seeded odd-gap spectrum needs) after which it counts as unresolved.
 _REFINE_WIDTH_FRAC = 1e-12
-_REFINE_MAX_ITER = 300
+_REFINE_MAX_ITER = 8
 
 # A refined minimum is certified as a zero when |x_0| there is below this.
 _ZERO_RESIDUAL_TOL = 1e-10
@@ -58,8 +60,6 @@ _ZERO_RESIDUAL_TOL = 1e-10
 # |x_N| this close to 1 at a candidate zero would mean transfer before the
 # certified earliest time; such candidates are quarantined, not reported.
 _ANOMALY_MARGIN = 1e-6
-
-_INV_PHI = 0.5 * (math.sqrt(5.0) - 1.0)
 
 
 @dataclass(frozen=True)
@@ -107,10 +107,10 @@ class EseZero:
 class EseReport:
     """All certified early-exclusion times inside (0, T0).
 
-    ``unresolved`` lists refined minima whose golden-section bracket did
-    not converge; ``early_pst_anomalies`` lists zeros excluded because the far
-    boundary was numerically saturated there (which would contradict an
-    earliest-transfer certificate).  The search counters satisfy
+    ``unresolved`` lists, where they stopped, the Newton iterates of refined
+    minima that did not settle; ``early_pst_anomalies`` lists zeros excluded
+    because the far boundary was numerically saturated there (which would
+    contradict an earliest-transfer certificate).  The search counters satisfy
     ``candidates == noise_floor_rejections + refined``: every interior
     minimum of the scan is either dropped because its neighboring grid
     values lie below the cancellation floor, or refined.
@@ -191,42 +191,36 @@ def detect_pst(req: SpectrumRequest, tol: float = 1e-8) -> PstCertificate:
     )
 
 
-def _x0_squared(sd: SpectralData, times) -> np.ndarray:
-    # detect_ese's times lie inside (0, T0) and min_overlap's inside the
-    # range it has just scanned, so no time check is needed
-    return np.abs(_spectral_sum(sd, times, sd.weights)) ** 2
-
-
-def _golden_minimize(
-    sd: SpectralData, lo: np.ndarray, hi: np.ndarray, width_tol: float
+def _newton_minimize(
+    sd: SpectralData, times: np.ndarray, index: np.ndarray, width_tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Golden-section minima of |x_0|^2 on every bracket [lo[k], hi[k]].
+    """Newton minima of |x_0|^2 from times[index], each kept within a grid step.
 
-    All brackets advance together: each step moves every bracket still
-    wider than ``width_tol`` to its own left or right part and evaluates
-    the new interior points of all of them in one call.  Returns
-    (locations, converged); converged means the bracket shrank below
-    ``width_tol`` within ``_REFINE_MAX_ITER`` steps.
+    Every iterate steps by t <- t - Re(conj(x) x') / (|x'|^2 + Re(conj(x) x''))
+    in one spectral sum per step, over the coefficients (-i mu)^k w of x^(k)
+    about the midpoint c, whose factor exp(-ict) cancels in both products.
+    Returns (locations, converged): converged means a step of at most
+    ``width_tol`` within ``_REFINE_MAX_ITER`` steps, while a non-positive
+    curvature or a non-finite step stops an iterate, unconverged, in place.
     """
-    a = np.array(lo, dtype=float)
-    b = np.array(hi, dtype=float)
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    values = _x0_squared(sd, np.concatenate([c, d]))
-    fc, fd = values[: a.size], values[a.size :]
+    _, mu = sd._centred
+    coefficients = sd.weights[:, None] * (-1j * mu[:, None]) ** np.arange(3)
+    t, lo, hi = times[index], times[index - 1], times[index + 1]
+    converged = np.zeros(t.size, dtype=bool)
+    live = np.arange(t.size)
     for _ in range(_REFINE_MAX_ITER):
-        live = np.nonzero(b - a > width_tol)[0]
         if live.size == 0:
             break
-        go_left = fc[live] <= fd[live]
-        left, right = live[go_left], live[~go_left]
-        b[left], d[left], fd[left] = d[left], c[left], fc[left]
-        c[left] = b[left] - _INV_PHI * (b[left] - a[left])
-        a[right], c[right], fc[right] = c[right], d[right], fd[right]
-        d[right] = a[right] + _INV_PHI * (b[right] - a[right])
-        values = _x0_squared(sd, np.concatenate([c[left], d[right]]))
-        fc[left], fd[right] = values[: left.size], values[left.size :]
-    return 0.5 * (a + b), b - a <= width_tol
+        x, dx, ddx = _spectral_sum(sd, t[live], coefficients).T
+        curvature = np.abs(dx) ** 2 + (x.conj() * ddx).real
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            step = (x.conj() * dx).real / curvature
+        ok = (curvature > 0.0) & np.isfinite(step)
+        moving = live[ok]
+        t[moving] = np.clip(t[moving] - step[ok], lo[moving], hi[moving])
+        converged[live[ok & (np.abs(step) <= width_tol)]] = True
+        live = live[ok & (np.abs(step) > width_tol)]
+    return t, converged
 
 
 def _scan(sd: SpectralData, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
@@ -251,9 +245,10 @@ def detect_ese(sd: SpectralData, cert: PstCertificate) -> EseReport:
     O(sqrt(n)) exponentials per eigenvalue for n grid points.  An interior
     local minimum of |x_0|^2 is dropped when |x_0| at both neighboring grid
     points lies below the noise clearance, since no isolated zero can be
-    resolved there.  The surviving minima are refined together by one
-    batched golden-section sweep; a refined minimum is certified as a zero
-    when its residual, evaluated directly by the spectral sum, is below
+    resolved there.  Each surviving minimum starts a Newton iterate on
+    d|x_0|^2/dt inside its two neighboring grid intervals, and all iterates
+    advance together; one that settles is certified as a zero when its
+    residual, evaluated directly by the spectral sum, is below
     ``_ZERO_RESIDUAL_TOL`` (1e-10), which the report carries as ``tolerance``.
     """
     if not cert.has_pst:
@@ -269,8 +264,8 @@ def detect_ese(sd: SpectralData, cert: PstCertificate) -> EseReport:
     minima = _interior_minima(f2)
     edge = np.sqrt(np.maximum(f2[minima - 1], f2[minima + 1]))
     kept = minima[edge >= _NOISE_CLEARANCE]
-    t_star, converged = _golden_minimize(
-        sd, times[kept - 1], times[kept + 1], _REFINE_WIDTH_FRAC * transfer_time
+    t_star, converged = _newton_minimize(
+        sd, times, kept, _REFINE_WIDTH_FRAC * transfer_time
     )
     t_conv = t_star[converged]
     residual = np.abs(_spectral_sum(sd, t_conv, sd.weights))
@@ -304,22 +299,22 @@ def min_overlap(sd: SpectralData, t0: float, t1: float) -> MinOverlap:
     """Global minimum of |x_0(t)| over [t0, t1] to about 1e-8.
 
     Dense scan at the oscillation-resolving step through the factored grid
-    kernel, then one batched golden-section sweep over every interior local
+    kernel, then the batched Newton refinement of every interior local
     minimum, evaluated directly; endpoint values compete as they stand.
+    A range with non-finite phases raises ValueError before any work.
     """
+    if not _finite_phases(sd, abs(t0) + abs(t1)):
+        raise ValueError(f"t0 = {t0!r}, t1 = {t1!r} give non-finite phases")
     if not t0 < t1:
         raise ValueError("need t0 < t1")
     times, f2 = _scan(sd, float(t0), float(t1))
     minima = _interior_minima(f2)
-    t_star, _ = _golden_minimize(
-        sd,
-        times[minima - 1],
-        times[minima + 1],
-        _REFINE_WIDTH_FRAC * (float(t1) - float(t0)),
+    t_star, _ = _newton_minimize(
+        sd, times, minima, _REFINE_WIDTH_FRAC * (float(t1) - float(t0))
     )
     # argmin takes the first of equal values, so a refined minimum replaces
     # the best grid point only when it is strictly lower
     t_all = np.concatenate([times, t_star])
-    f_all = np.concatenate([f2, _x0_squared(sd, t_star)])
+    f_all = np.concatenate([f2, np.abs(_spectral_sum(sd, t_star, sd.weights)) ** 2])
     best = int(np.argmin(f_all))
     return MinOverlap(min_value=math.sqrt(f_all[best]), argmin=float(t_all[best]))

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pstchain import cli
+from pstchain import cli, detect_ese, detect_pst, persymmetric_weights, surgery_spectrum
 from pstchain.cli import build_parser, main
 
 
@@ -199,6 +199,21 @@ class TestAnalyze:
         assert doc["pst"]["has_pst"] is False
         assert doc["ese"] is None
         assert "no PST" in doc["verdict"]
+
+    def test_rounded_weights_leave_one_minimum_unresolved(self, tmp_path):
+        # surgery N = 27 written with 12-digit weights: the one zero of the
+        # exact spectrum survives the round trip, and a plateau minimum whose
+        # Newton iterate does not settle is listed as unresolved
+        wire = tmp_path / "wire.json"
+        report = tmp_path / "report.json"
+        main(["construct", "surgery", "--N", "27", "--out", str(wire)])
+        assert main(["analyze", "--in", str(wire), "--out", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        req = surgery_spectrum(27)
+        (exact,) = detect_ese(persymmetric_weights(req), detect_pst(req)).zeros
+        assert [z["time"] for z in doc["ese"]["zeros"]] == [pytest.approx(exact.time, abs=1e-9)]
+        assert len(doc["ese"]["unresolved"]) == 1
+        assert 0.0 < doc["ese"]["unresolved"][0] < doc["pst"]["transfer_time"]
 
     def test_certificate_round_trip_is_exact(self, tmp_path):
         wire = tmp_path / "wire.json"

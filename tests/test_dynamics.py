@@ -160,11 +160,13 @@ class TestDetectPst:
 class TestDetectEse:
     def test_four_site_example(self):
         req, sd = four_site_data()
-        report = detect_ese(sd, detect_pst(req))
+        cert = detect_pst(req)
+        report = detect_ese(sd, cert)
         assert len(report.zeros) == 1
         zero = report.zeros[0]
-        assert zero.time == pytest.approx(math.acos(2.0 / 3.0), abs=1e-9)
-        assert zero.residual < 1e-10
+        eps = np.finfo(float).eps
+        assert abs(zero.time - math.acos(2.0 / 3.0)) <= 4 * eps * cert.transfer_time
+        assert zero.residual < 1e-15
         assert zero.last_site_modulus == pytest.approx(
             4.0 / 6.0**1.5, abs=1e-9
         )
@@ -242,6 +244,15 @@ class TestDetectEse:
         assert report.zeros == ()
         assert len(report.unresolved) >= 1
 
+    def test_newton_stops_at_non_positive_curvature(self):
+        # t = 0 is the maximum |x_0| = 1, where d^2|x_0|^2/dt^2 < 0: the
+        # iterate stays where it started, finite and unconverged
+        _, sd = four_site_data()
+        times = np.array([-0.1, 0.0, 0.1])
+        t, converged = dynamics._newton_minimize(sd, times, np.array([1]), 1e-12)
+        assert t.tolist() == [0.0]
+        assert converged.tolist() == [False]
+
     @pytest.mark.parametrize(
         "req",
         [surgery_spectrum(3), gap_family_spectrum(10, 5), gap_family_spectrum(20, 9)],
@@ -253,10 +264,11 @@ class TestDetectEse:
         assert report.refined >= len(report.zeros) > 0
 
     def test_amplitude_evaluations_do_not_grow_with_candidates(self, monkeypatch):
-        # every bracket advances in the same batched evaluation, so the call
-        # count follows the golden-section depth, not the number of minima;
-        # the scan itself goes through the factored grid kernel, so only the
-        # refinement and the checks send points through the spectral sum
+        # every Newton iterate advances in the same batched evaluation, so
+        # the call count is at most the step budget plus the residual and
+        # |x_N| checks, whatever the number of minima; the scan itself goes
+        # through the factored grid kernel, so only the refinement and the
+        # checks send points through the spectral sum
         req = gap_family_spectrum(20, 9)
         sd, cert = persymmetric_weights(req), detect_pst(req)
         points = []
@@ -270,7 +282,7 @@ class TestDetectEse:
         report = detect_ese(sd, cert)
         assert len(report.zeros) == 9
         assert report.candidates > 64
-        assert len(points) <= 64
+        assert len(points) <= dynamics._REFINE_MAX_ITER + 2
         scan_points = round((1 - 2e-6) * cert.transfer_time / report.scan_resolution) + 1
         assert scan_points == 7297
         assert sum(points) < scan_points // 8
@@ -301,7 +313,7 @@ class TestEseGolden:
         width = dynamics._REFINE_WIDTH_FRAC * case["transfer_time"]
         for zero, (time, _) in zip(report.zeros, case["zeros"]):
             assert abs(zero.time - time) <= width
-            assert zero.residual < case["tolerance"]
+            assert zero.residual < 2e-14
         for got, want in zip(report.early_pst_anomalies, case["early_pst_anomalies"]):
             assert abs(got - want) <= width
 
@@ -350,6 +362,14 @@ class TestMinOverlap:
         _, sd = four_site_data()
         with pytest.raises(ValueError, match="t0 < t1"):
             min_overlap(sd, 1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "t0,t1", [(0.0, math.inf), (0.0, -math.inf), (math.inf, 1.0), (-math.inf, 1.0)]
+    )
+    def test_rejects_non_finite_range(self, t0, t1):
+        _, sd = four_site_data()
+        with pytest.raises(ValueError, match="non-finite phases"):
+            min_overlap(sd, t0, t1)
 
 
 class TestSmallSizesNeverExclude:
