@@ -28,6 +28,7 @@ from pstchain import (
 )
 
 GOLDEN_ESE = Path(__file__).parent / "golden" / "ese_named_families.json"
+GOLDEN_SIGN_CHANGES = Path(__file__).parent / "golden" / "sign_changes.json"
 
 
 def monic_krawtchouk(N: int, n: int, x):
@@ -359,3 +360,34 @@ class TestCountSignChanges:
     def test_gap_family_amplitudes(self, n, m):
         c = amplitude_as_chebyshev(persymmetric_weights(gap_family_spectrum(n, m)))
         assert count_sign_changes(c, 4096) >= 2 * m + 1
+
+
+class TestSignChangeGolden:
+    """Counts recorded from the sparse-combination implementation."""
+
+    golden = json.loads(GOLDEN_SIGN_CHANGES.read_text())
+
+    def test_named_symmetric_spectra(self):
+        wrong = []
+        for case in self.golden["named"]:
+            if case["family"] == "krawtchouk":
+                req = SpectrumRequest(np.arange(case["N"] + 1.0) - case["N"] / 2.0)
+            elif case["family"] == "surgery":
+                req = surgery_spectrum(case["N"])
+            else:
+                req = gap_family_spectrum(case["n"], case["m"])
+            count = count_sign_changes(amplitude_as_chebyshev(persymmetric_weights(req)))
+            if count != case["sign_changes"]:
+                wrong.append((case, count))
+        assert len(self.golden["named"]) == 209
+        assert not wrong, wrong
+
+    def test_criterion_7_random_combinations(self):
+        wrong = []
+        for case in self.golden["random"]:
+            coeffs = dict(enumerate(case["coefficients"], start=case["low"]))
+            count = count_sign_changes(ChebyshevCombination(coeffs))
+            if count != case["sign_changes"]:
+                wrong.append((case, count))
+        assert len(self.golden["random"]) == 100
+        assert not wrong, wrong
