@@ -9,7 +9,6 @@ it at which the boundary-return amplitude vanishes (early state exclusion).
 from .errors import (
     ChainError,
     EigensolverError,
-    NotChebyshevRepresentableError,
     PstUndecidableError,
     ReconstructionError,
 )
@@ -34,14 +33,11 @@ from .inverse import (
 from .dynamics import (
     EseReport,
     EseZero,
-    MinOverlap,
     PstCertificate,
     detect_ese,
     detect_pst,
-    min_overlap,
 )
 from .families import (
-    ChebyshevCombination,
     amplitude_as_chebyshev,
     closed_form_krawtchouk_x0,
     closed_form_surgery_x0,
@@ -57,13 +53,10 @@ __all__ = [
     "MAX_SITES",
     "AmplitudeSeries",
     "ChainError",
-    "ChebyshevCombination",
     "EigensolverError",
     "EseReport",
     "EseZero",
     "JacobiMatrix",
-    "MinOverlap",
-    "NotChebyshevRepresentableError",
     "PersymmetryReport",
     "PstCertificate",
     "PstUndecidableError",
@@ -84,7 +77,6 @@ __all__ = [
     "full_evolution_column",
     "gap_family_spectrum",
     "krawtchouk_chain",
-    "min_overlap",
     "persymmetric_weights",
     "reconstruct_jacobi",
     "surgery_spectrum",

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +34,6 @@ from .jacobi import (
     _NOISE_CLEARANCE,
     SpectralData,
     _boundary_coefficients,
-    _finite_phases,
     _frame,
     _grid_sum,
     _spectral_sum,
@@ -49,7 +47,7 @@ _ODD_CAP = 10_000
 _SCAN_DIVISIONS = 256
 
 # Newton step below which a minimum has converged, as a fraction of the
-# scan interval scale, and the step budget (twice the most that any named
+# transfer time, and the step budget (twice the most that any named
 # or seeded odd-gap spectrum needs) after which it counts as unresolved.
 _REFINE_WIDTH_FRAC = 1e-12
 _REFINE_MAX_ITER = 8
@@ -131,13 +129,6 @@ class EseReport:
                 raise ValueError("listed zeros must beat the residual tolerance")
             if not zero.last_site_modulus < 1.0 - _ANOMALY_MARGIN:
                 raise ValueError("listed zeros must not saturate the far boundary")
-
-
-class MinOverlap(NamedTuple):
-    """Global minimum of |x_0| over an interval and where it occurs."""
-
-    min_value: float
-    argmin: float
 
 
 def detect_pst(req: SpectrumRequest, tol: float = 1e-8) -> PstCertificate:
@@ -232,10 +223,6 @@ def _scan(sd: SpectralData, lo: float, hi: float) -> tuple[np.ndarray, np.ndarra
     return np.linspace(lo, hi, npts), f2
 
 
-def _interior_minima(f2: np.ndarray) -> np.ndarray:
-    return np.nonzero((f2[1:-1] <= f2[:-2]) & (f2[1:-1] <= f2[2:]))[0] + 1
-
-
 def detect_ese(sd: SpectralData, cert: PstCertificate) -> EseReport:
     """Locate every vanishing of |x_0| strictly inside (0, T0).
 
@@ -261,7 +248,7 @@ def detect_ese(sd: SpectralData, cert: PstCertificate) -> EseReport:
     eps = 1e-6 * transfer_time
     times, f2 = _scan(sd, eps, transfer_time - eps)
     resolution = float(times[1] - times[0])
-    minima = _interior_minima(f2)
+    minima = np.nonzero((f2[1:-1] <= f2[:-2]) & (f2[1:-1] <= f2[2:]))[0] + 1
     edge = np.sqrt(np.maximum(f2[minima - 1], f2[minima + 1]))
     kept = minima[edge >= _NOISE_CLEARANCE]
     t_star, converged = _newton_minimize(
@@ -294,27 +281,3 @@ def detect_ese(sd: SpectralData, cert: PstCertificate) -> EseReport:
         refined=int(kept.size),
     )
 
-
-def min_overlap(sd: SpectralData, t0: float, t1: float) -> MinOverlap:
-    """Global minimum of |x_0(t)| over [t0, t1] to about 1e-8.
-
-    Dense scan at the oscillation-resolving step through the factored grid
-    kernel, then the batched Newton refinement of every interior local
-    minimum, evaluated directly; endpoint values compete as they stand.
-    A range with non-finite phases raises ValueError before any work.
-    """
-    if not _finite_phases(sd, abs(t0) + abs(t1)):
-        raise ValueError(f"t0 = {t0!r}, t1 = {t1!r} give non-finite phases")
-    if not t0 < t1:
-        raise ValueError("need t0 < t1")
-    times, f2 = _scan(sd, float(t0), float(t1))
-    minima = _interior_minima(f2)
-    t_star, _ = _newton_minimize(
-        sd, times, minima, _REFINE_WIDTH_FRAC * (float(t1) - float(t0))
-    )
-    # argmin takes the first of equal values, so a refined minimum replaces
-    # the best grid point only when it is strictly lower
-    t_all = np.concatenate([times, t_star])
-    f_all = np.concatenate([f2, np.abs(_spectral_sum(sd, t_star, sd.weights)) ** 2])
-    best = int(np.argmin(f_all))
-    return MinOverlap(min_value=math.sqrt(f_all[best]), argmin=float(t_all[best]))

@@ -1,4 +1,9 @@
-"""Exception types for numerical failures."""
+"""Exception types for numerical failures.
+
+Every class here reports a computation that could not reach an answer on
+valid input.  Unusable input, such as a malformed spectrum or spectral data
+with no cosine-polynomial form, raises ``ValueError`` instead.
+"""
 
 from __future__ import annotations
 
@@ -28,7 +33,3 @@ class PstUndecidableError(ChainError):
     candidate could be tested, so the spectrum is undecidable at the
     requested tolerance."""
 
-
-class NotChebyshevRepresentableError(ChainError):
-    """Spectral data is not symmetric with odd-half-integer eigenvalues, so
-    the boundary amplitude has no cosine-polynomial form."""

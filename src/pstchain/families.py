@@ -3,17 +3,15 @@
 The equidistant (binomial-weight) chain has couplings
 b_k = sqrt((k+1)(N-k))/2, eigenvalues s - N/2 and boundary amplitude
 cos^N(t/2).  Gap-family spectra are symmetric with unit gaps except an odd
-middle gap 2m+1; their boundary amplitude is a short cosine polynomial in
-cos(t/2), which is where the sign-change counting lives.
+middle gap 2m+1; their boundary amplitude is a short Chebyshev series in
+cos(t/2), a ``numpy.polynomial.Chebyshev``, which is where the sign-change
+counting lives.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import NotChebyshevRepresentableError
 from .inverse import SpectrumRequest
 from .jacobi import _NOISE_CLEARANCE, MAX_SITES, JacobiMatrix, SpectralData
 
@@ -22,46 +20,6 @@ from .jacobi import _NOISE_CLEARANCE, MAX_SITES, JacobiMatrix, SpectralData
 _HALF_INTEGER_ATOL = 1e-9
 
 _WEIGHT_SYMMETRY_ATOL = 1e-8
-
-
-@dataclass(frozen=True)
-class ChebyshevCombination:
-    """Sparse combination sum_j A_j T_j of Chebyshev polynomials.
-
-    The lowest-degree coefficient must be nonzero; it controls the
-    guaranteed number of sign changes on (-1, 1).
-    """
-
-    coefficients: dict[int, float]
-
-    def __post_init__(self):
-        if not self.coefficients:
-            raise ValueError("need at least one coefficient")
-        coeffs: dict[int, float] = {}
-        for degree in sorted(self.coefficients):
-            value = float(self.coefficients[degree])
-            if not isinstance(degree, (int, np.integer)) or degree < 0:
-                raise ValueError("degrees must be nonnegative integers")
-            if not np.isfinite(value):
-                raise ValueError("coefficients must be finite")
-            coeffs[int(degree)] = value
-        if coeffs[min(coeffs)] == 0.0:
-            raise ValueError("the lowest-degree coefficient must be nonzero")
-        object.__setattr__(self, "coefficients", coeffs)
-
-    @property
-    def lowest_degree(self) -> int:
-        return min(self.coefficients)
-
-    @property
-    def highest_degree(self) -> int:
-        return max(self.coefficients)
-
-    def evaluate(self, x):
-        """Value of the combination at x (scalar or array)."""
-        dense = np.zeros(self.highest_degree + 1)
-        dense[list(self.coefficients)] = list(self.coefficients.values())
-        return np.polynomial.chebyshev.chebval(np.asarray(x, dtype=float), dense)
 
 
 def krawtchouk_chain(N: int) -> JacobiMatrix:
@@ -120,50 +78,46 @@ def closed_form_surgery_x0(N: int, t):
     return ((half + 1.0) * np.cos(t) - half) * np.cos(0.5 * t) ** N
 
 
-def amplitude_as_chebyshev(sd: SpectralData) -> ChebyshevCombination:
+def amplitude_as_chebyshev(sd: SpectralData) -> np.polynomial.Chebyshev:
     """Cosine-polynomial form of x_0 for symmetric half-integer spectra.
 
     When every eigenvalue is an odd half-integer +-(2j+1)/2 and the weights
     are mirror symmetric, x_0(t) = sum 2 w T_{2j+1}(cos(t/2)); the returned
-    coefficients are A_{2j+1} = 2 w(lambda) over the positive eigenvalues.
+    series has coefficient A_{2j+1} = 2 w(lambda) for each positive
+    eigenvalue and 0 at every other degree.  Any other spectral data raises
+    ValueError.
     """
     lam = sd.eigenvalues
     w = sd.weights
     if np.abs(lam + lam[::-1]).max() > _HALF_INTEGER_ATOL:
-        raise NotChebyshevRepresentableError("spectrum is not symmetric about 0")
+        raise ValueError("spectrum is not symmetric about 0")
     if lam.size % 2:
-        raise NotChebyshevRepresentableError(
+        raise ValueError(
             "an odd-size spectrum contains 0, which is not an odd half-integer"
         )
     if np.abs(w - w[::-1]).max() > _WEIGHT_SYMMETRY_ATOL:
-        raise NotChebyshevRepresentableError("weights are not mirror symmetric")
+        raise ValueError("weights are not mirror symmetric")
     positive = lam[lam.size // 2 :]
     j = np.rint(positive - 0.5)
     if np.abs(positive - (j + 0.5)).max() > _HALF_INTEGER_ATOL or j.min() < 0:
-        raise NotChebyshevRepresentableError(
-            "eigenvalues do not sit on odd half-integers"
-        )
-    coeffs = {
-        int(2 * jj + 1): 2.0 * float(ww)
-        for jj, ww in zip(j, w[lam.size // 2 :])
-    }
-    return ChebyshevCombination(coeffs)
+        raise ValueError("eigenvalues do not sit on odd half-integers")
+    coef = np.zeros(2 * int(j.max()) + 2)
+    coef[2 * j.astype(int) + 1] = 2.0 * w[lam.size // 2 :]
+    return np.polynomial.Chebyshev(coef)
 
 
-def count_sign_changes(c: ChebyshevCombination, samples: int = 8192) -> int:
-    """Sign changes of the combination over a uniform grid inside (-1, 1).
+def count_sign_changes(c: np.polynomial.Chebyshev) -> int:
+    """Sign changes of the series over 8192 uniform samples inside (-1, 1).
 
     Endpoints are excluded exactly.  Samples at or below the cancellation
-    floor, the noise clearance times the sum of |A_j|, are dropped, since
-    round-off decides their sign; the count covers the samples above it.
-    Zeros of even multiplicity, or closer together than the grid step, do
-    not show.
+    floor, the noise clearance times the sum of |A_j| in ascending degree,
+    are dropped, since round-off decides their sign; the count covers the
+    samples above it.  Zeros of even multiplicity, or closer together than
+    the grid step, do not show.
     """
-    if samples < 64:
-        raise ValueError("need at least 64 samples")
-    grid = np.linspace(-1.0, 1.0, samples + 2)[1:-1]
-    values = c.evaluate(grid)
-    floor = _NOISE_CLEARANCE * sum(abs(a) for a in c.coefficients.values())
+    grid = np.linspace(-1.0, 1.0, 8194)[1:-1]
+    values = c(grid)
+    floor = _NOISE_CLEARANCE * sum(abs(a) for a in c.coef.tolist())
     signs = np.sign(values[np.abs(values) > floor])
     if signs.size < 2:
         return 0

@@ -13,7 +13,6 @@ from contextlib import contextmanager
 import numpy as np
 
 from pstchain import (
-    ChebyshevCombination,
     SpectrumRequest,
     amplitude_as_chebyshev,
     amplitude_values,
@@ -26,7 +25,6 @@ from pstchain import (
     eigendecompose,
     gap_family_spectrum,
     krawtchouk_chain,
-    min_overlap,
     persymmetric_weights,
     reconstruct_jacobi,
     surgery_spectrum,
@@ -129,29 +127,35 @@ def test_criterion_5_round_trip():
 def test_criterion_6_small_sizes_never_exclude():
     with criterion("criterion 6: 2x2 and 3x3 wires never exclude early"):
         rng = np.random.default_rng(1234)
-        # Endpoint behavior of |x0| at T0 is tangential (quadratic for 3x3),
-        # so the margin window must sit well clear of it: eps = 1e-2 T0
-        # keeps the endpoint floor around 1e-4 while covering the interval.
+        round_off = 2 * math.ulp(1.0)  # the weights are exact to round-off
+        # 2 sites: weights (1/2, 1/2) give |x0(t)| = |cos(bt)|, whose first
+        # zero is pi/(2b), the earliest transfer time itself
         for _ in range(100):
             a = float(rng.uniform(-2.0, 2.0))
             b = float(rng.uniform(0.2, 3.0))
             req = SpectrumRequest([a - b, a + b])
             sd = persymmetric_weights(req)
+            assert np.abs(sd.weights - 0.5).max() <= round_off
             cert = detect_pst(req)
-            t_final = cert.transfer_time
-            eps = 1e-2 * t_final
-            assert min_overlap(sd, eps, t_final - eps).min_value > 1e-6
+            first_zero = math.pi / (2.0 * b)
+            assert abs(cert.transfer_time - first_zero) <= 1e-14 * first_zero
             assert detect_ese(sd, cert).zeros == ()
+        # 3 sites, spectrum sigma(-a, 0, b) with a, b odd: w_0 = 1/2 = w_- + w_+,
+        # so |x0| >= w_0 - w_- - w_+ = 0 with equality only where
+        # exp(i a sigma t) = exp(-i b sigma t) = -1, first at pi/(g sigma) with
+        # g = gcd(a, b), which is the earliest transfer time
         for _ in range(100):
             n = int(rng.integers(0, 6))
             m = int(rng.integers(0, 6))
             sigma = math.pi / float(rng.uniform(0.5, 5.0))
             req = SpectrumRequest(np.array([-(2 * m + 1), 0.0, 2 * n + 1]) * sigma)
             sd = persymmetric_weights(req)
+            w_minus, w_0, w_plus = sd.weights
+            assert abs(w_0 - 0.5) <= round_off, (n, m)
+            assert abs(w_minus + w_plus - 0.5) <= round_off, (n, m)
             cert = detect_pst(req)  # earliest transfer, also when gcd > 1
-            t_final = cert.transfer_time
-            eps = 1e-2 * t_final
-            assert min_overlap(sd, eps, t_final - eps).min_value > 1e-6, (n, m)
+            first_zero = math.pi / (math.gcd(2 * m + 1, 2 * n + 1) * sigma)
+            assert abs(cert.transfer_time - first_zero) <= 1e-14 * first_zero, (n, m)
             assert detect_ese(sd, cert).zeros == (), (n, m)
 
 
@@ -161,18 +165,18 @@ def test_criterion_7_sign_change_lower_bounds():
         for _ in range(100):
             top = int(rng.integers(2, 13))
             low = int(rng.integers(1, top + 1))
-            coeffs = {
-                j: float(rng.uniform(0.2, 1.5) * rng.choice([-1.0, 1.0]))
-                for j in range(low, top + 1)
-            }
-            c = ChebyshevCombination(coeffs)
-            assert count_sign_changes(c, 8192) >= low, (low, top)
+            coeffs = [
+                float(rng.uniform(0.2, 1.5) * rng.choice([-1.0, 1.0]))
+                for _ in range(low, top + 1)
+            ]
+            c = np.polynomial.Chebyshev(np.concatenate([np.zeros(low), coeffs]))
+            assert count_sign_changes(c) >= low, (low, top)
         for n in range(2, 7):
             for m in range(1, 5):
                 c = amplitude_as_chebyshev(
                     persymmetric_weights(gap_family_spectrum(n, m))
                 )
-                assert count_sign_changes(c, 8192) >= 2 * m + 1, (n, m)
+                assert count_sign_changes(c) >= 2 * m + 1, (n, m)
 
 
 def test_criterion_8_cli_goldens(tmp_path):

@@ -235,6 +235,22 @@ class TestAnalyze:
         assert parsed["pst"]["has_pst"] is True
         assert parsed["pst"]["transfer_time"] == pytest.approx(math.pi / 2)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: detect_pst takes x_N from the persymmetric "
+        "weights of the spectrum, not from the weights the document gives",
+    )
+    def test_non_mirror_weights_deny_pst(self, tmp_path):
+        # the Lanczos wire of these spectral data reaches only
+        # |x_N(pi)| = 0.9548 (scipy.linalg.expm), so it has no PST at pi
+        doc = tmp_path / "s.json"
+        doc.write_text(json.dumps(
+            {"spectrum": [-2.5, -1.5, 1.5, 2.5], "weights": [0.1, 0.4, 0.3, 0.2]}
+        ))
+        report = tmp_path / "report.json"
+        assert main(["analyze", "--in", str(doc), "--out", str(report)]) == 0
+        assert json.loads(report.read_text())["pst"]["has_pst"] is False
+
     def test_weakly_coupled_matrix_is_numerical_failure(self, tmp_path, capsys):
         doc = tmp_path / "m.json"
         doc.write_text(

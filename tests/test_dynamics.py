@@ -19,7 +19,6 @@ from pstchain import (
     detect_ese,
     detect_pst,
     gap_family_spectrum,
-    min_overlap,
     persymmetric_weights,
     surgery_spectrum,
 )
@@ -333,43 +332,6 @@ class TestReflectionSymmetry:
         left = np.abs(amplitude_values(sd, math.pi - u, "first"))
         right = np.abs(amplitude_values(sd, math.pi + u, "first"))
         assert np.abs(left - right).max() < 1e-12
-
-
-class TestMinOverlap:
-    def test_monotone_closed_form(self):
-        # three-site equidistant chain: |x0| = cos^2(t/2), decreasing on (0, pi)
-        sd = persymmetric_weights(SpectrumRequest([-1.0, 0.0, 1.0]))
-        result = min_overlap(sd, 0.1, math.pi - 0.1)
-        expected = math.cos((math.pi - 0.1) / 2.0) ** 2
-        assert result.min_value == pytest.approx(expected, abs=1e-8)
-        assert result.argmin == pytest.approx(math.pi - 0.1, abs=1e-6)
-
-    def test_four_site_dips_to_zero_between_half_and_one(self):
-        _, sd = four_site_data()
-        result = min_overlap(sd, 0.5, 1.0)
-        assert result.min_value < 1e-8
-        assert result.argmin == pytest.approx(math.acos(2.0 / 3.0), abs=1e-6)
-
-    def test_gap_family_minimum_is_an_ese_zero(self):
-        req = gap_family_spectrum(6, 4)
-        sd = persymmetric_weights(req)
-        zeros = [z.time for z in detect_ese(sd, detect_pst(req)).zeros]
-        result = min_overlap(sd, 0.05, 2.5)
-        assert result.min_value < 1e-10
-        assert min(abs(result.argmin - t) for t in zeros) < 1e-9
-
-    def test_rejects_empty_interval(self):
-        _, sd = four_site_data()
-        with pytest.raises(ValueError, match="t0 < t1"):
-            min_overlap(sd, 1.0, 1.0)
-
-    @pytest.mark.parametrize(
-        "t0,t1", [(0.0, math.inf), (0.0, -math.inf), (math.inf, 1.0), (-math.inf, 1.0)]
-    )
-    def test_rejects_non_finite_range(self, t0, t1):
-        _, sd = four_site_data()
-        with pytest.raises(ValueError, match="non-finite phases"):
-            min_overlap(sd, t0, t1)
 
 
 class TestSmallSizesNeverExclude:

@@ -8,8 +8,6 @@ import numpy as np
 import pytest
 
 from pstchain import (
-    ChebyshevCombination,
-    NotChebyshevRepresentableError,
     SpectralData,
     SpectrumRequest,
     amplitude_as_chebyshev,
@@ -51,8 +49,22 @@ def monic_krawtchouk(N: int, n: int, x):
 
 
 def chebyshev_t(j: int, x):
-    """T_j(x) through the library's Chebyshev combination."""
-    return ChebyshevCombination({j: 1.0}).evaluate(x)
+    """T_j(x) through numpy's Chebyshev basis."""
+    return np.polynomial.Chebyshev.basis(j)(x)
+
+
+def named_request(case: dict) -> SpectrumRequest:
+    """Spectrum of a golden case: Krawtchouk N, surgery N or gap family (n, m)."""
+    if case["family"] == "krawtchouk":
+        return SpectrumRequest(np.arange(case["N"] + 1.0) - case["N"] / 2.0)
+    if case["family"] == "surgery":
+        return surgery_spectrum(case["N"])
+    return gap_family_spectrum(case["n"], case["m"])
+
+
+def combination(low: int, coefficients) -> np.polynomial.Chebyshev:
+    """sum_j A_j T_j with the given A_low, A_low+1, ... and no lower terms."""
+    return np.polynomial.Chebyshev(np.concatenate([np.zeros(low), coefficients]))
 
 
 class TestKrawtchoukChain:
@@ -234,46 +246,22 @@ class TestChebyshevEval:
                 assert abs(inner) < 1e-12
 
 
-class TestChebyshevCombination:
-    def test_requires_nonzero_lowest_coefficient(self):
-        with pytest.raises(ValueError, match="nonzero"):
-            ChebyshevCombination({2: 0.0, 5: 1.0})
-        with pytest.raises(ValueError):
-            ChebyshevCombination({})
-
-    def test_evaluate_matches_direct_sum(self):
-        c = ChebyshevCombination({1: 0.5, 4: -1.25, 7: 2.0})
-        x = np.linspace(-1.0, 1.0, 57)
-        theta = np.arccos(x)
-        direct = (
-            0.5 * np.cos(theta)
-            - 1.25 * np.cos(4 * theta)
-            + 2.0 * np.cos(7 * theta)
-        )
-        np.testing.assert_allclose(c.evaluate(x), direct, atol=1e-13)
-
-    def test_degree_accessors(self):
-        c = ChebyshevCombination({3: 1.0, 9: -0.5})
-        assert c.lowest_degree == 3
-        assert c.highest_degree == 9
-
-
 class TestAmplitudeAsChebyshev:
     def test_minimal_gap_family_coefficients(self):
         sd = persymmetric_weights(gap_family_spectrum(2, 1))
         c = amplitude_as_chebyshev(sd)
-        assert c.coefficients == pytest.approx({3: 5 / 8, 5: 3 / 8})
+        assert c.coef.tolist() == pytest.approx([0, 0, 0, 5 / 8, 0, 3 / 8])
 
     def test_two_site_chain(self):
         sd = eigendecompose(krawtchouk_chain(1))
         c = amplitude_as_chebyshev(sd)
-        assert c.coefficients == pytest.approx({1: 1.0})
+        assert c.coef.tolist() == pytest.approx([0.0, 1.0])
 
     @pytest.mark.parametrize("n,m", [(2, 1), (3, 2), (5, 4)])
     def test_degree_endpoints(self, n, m):
         c = amplitude_as_chebyshev(persymmetric_weights(gap_family_spectrum(n, m)))
-        assert c.lowest_degree == 2 * m + 1
-        assert c.highest_degree == 2 * n + 2 * m - 1
+        assert np.flatnonzero(c.coef)[0] == 2 * m + 1
+        assert c.degree() == 2 * n + 2 * m - 1
 
     @pytest.mark.parametrize("n,m", [(2, 1), (4, 2), (6, 4)])
     def test_reproduces_amplitude(self, n, m):
@@ -282,101 +270,97 @@ class TestAmplitudeAsChebyshev:
         t = np.linspace(0.0, 2 * math.pi, 701)
         x0 = amplitude_values(sd, t, "first")
         assert np.abs(x0.imag).max() < 1e-14
-        assert np.abs(c.evaluate(np.cos(t / 2.0)) - x0.real).max() < 1e-10
+        assert np.abs(c(np.cos(t / 2.0)) - x0.real).max() < 1e-10
+
+    def test_evaluate_matches_direct_sum(self):
+        sd = persymmetric_weights(gap_family_spectrum(3, 2))
+        c = amplitude_as_chebyshev(sd)
+        x = np.linspace(-1.0, 1.0, 57)
+        theta = np.arccos(x)
+        positive = sd.eigenvalues > 0
+        direct = sum(
+            2.0 * w * np.cos(2.0 * lam * theta)
+            for lam, w in zip(sd.eigenvalues[positive], sd.weights[positive])
+        )
+        np.testing.assert_allclose(c(x), direct, atol=1e-13)
 
     def test_rejects_asymmetric_spectrum(self):
         sd = persymmetric_weights(SpectrumRequest([-0.5, 1.5, 2.5, 3.5]))
-        with pytest.raises(NotChebyshevRepresentableError, match="symmetric"):
+        with pytest.raises(ValueError, match="symmetric"):
             amplitude_as_chebyshev(sd)
 
     def test_rejects_integer_spectrum(self):
         sd = persymmetric_weights(SpectrumRequest([-2.0, -1.0, 1.0, 2.0]))
-        with pytest.raises(NotChebyshevRepresentableError, match="half-integers"):
+        with pytest.raises(ValueError, match="half-integers"):
             amplitude_as_chebyshev(sd)
 
     def test_rejects_zero_eigenvalue(self):
         sd = persymmetric_weights(SpectrumRequest([-1.5, 0.0, 1.5]))
-        with pytest.raises(NotChebyshevRepresentableError):
+        with pytest.raises(ValueError):
             amplitude_as_chebyshev(sd)
 
     def test_rejects_asymmetric_weights(self):
         sd = SpectralData(
             eigenvalues=[-1.5, -0.5, 0.5, 1.5], weights=[0.3, 0.3, 0.2, 0.2]
         )
-        with pytest.raises(NotChebyshevRepresentableError, match="weights"):
+        with pytest.raises(ValueError, match="weights"):
             amplitude_as_chebyshev(sd)
 
 
 class TestCountSignChanges:
     def test_single_first_degree(self):
-        assert count_sign_changes(ChebyshevCombination({1: 1.0}), 512) == 1
+        assert count_sign_changes(np.polynomial.Chebyshev.basis(1)) == 1
 
     def test_pure_degree_three(self):
         # zeros of T_3 inside (-1, 1): -cos(pi/6), 0, cos(pi/6)
-        assert count_sign_changes(ChebyshevCombination({3: 1.0}), 512) == 3
+        assert count_sign_changes(np.polynomial.Chebyshev.basis(3)) == 3
 
     def test_count_is_stable_under_refinement(self):
-        c = ChebyshevCombination({2: -0.7, 5: 1.0, 8: 0.4})
-        coarse = count_sign_changes(c, 1024)
-        fine = count_sign_changes(c, 8192)
-        assert fine >= coarse
-
-    def test_rejects_tiny_sample_count(self):
-        with pytest.raises(ValueError):
-            count_sign_changes(ChebyshevCombination({1: 1.0}), 32)
+        c = combination(2, [-0.7, 0.0, 0.0, 1.0, 0.0, 0.0, 0.4])
+        values = c(np.linspace(-1.0, 1.0, 65538)[1:-1])
+        signs = np.sign(values[np.abs(values) > 1e-12 * np.abs(c.coef).sum()])
+        assert count_sign_changes(c) == np.count_nonzero(signs[1:] != signs[:-1])
 
     def test_random_combinations_lower_bound(self):
         rng = np.random.default_rng(99)
         for _ in range(40):
             top = int(rng.integers(2, 13))
             low = int(rng.integers(1, top + 1))
-            coeffs = {
-                j: float(rng.uniform(0.2, 1.5) * rng.choice([-1.0, 1.0]))
-                for j in range(low, top + 1)
-            }
-            c = ChebyshevCombination(coeffs)
-            assert count_sign_changes(c, 8192) >= low
+            coeffs = [
+                float(rng.uniform(0.2, 1.5) * rng.choice([-1.0, 1.0]))
+                for _ in range(low, top + 1)
+            ]
+            assert count_sign_changes(combination(low, coeffs)) >= low
 
     def test_named_symmetric_spectra_count_exactly(self):
         # x_0 is odd in u = cos(t/2): each ESE zero in (0, pi) and its mirror
         # are sign changes on (-1, 1), and u = 0 (t = pi) is one more
         wrong = []
         for case in json.loads(GOLDEN_ESE.read_text())["cases"]:
-            if case["family"] == "krawtchouk":
-                if case["N"] % 2 == 0:  # odd size: 0 is in the spectrum
-                    continue
-                req = SpectrumRequest(np.arange(case["N"] + 1.0) - case["N"] / 2.0)
-            elif case["family"] == "surgery":
-                req = surgery_spectrum(case["N"])
-            else:
-                req = gap_family_spectrum(case["n"], case["m"])
-            c = amplitude_as_chebyshev(persymmetric_weights(req))
+            if case["family"] == "krawtchouk" and case["N"] % 2 == 0:
+                continue  # odd size: 0 is in the spectrum
+            c = amplitude_as_chebyshev(persymmetric_weights(named_request(case)))
             count = count_sign_changes(c)
-            if count != 2 * len(case["zeros"]) + 1 or count > c.highest_degree:
-                wrong.append((case, count, c.highest_degree))
+            if count != 2 * len(case["zeros"]) + 1 or count > c.degree():
+                wrong.append((case, count, c.degree()))
         assert not wrong, wrong
 
     @pytest.mark.parametrize("n,m", [(2, 1), (3, 3), (6, 4)])
     def test_gap_family_amplitudes(self, n, m):
         c = amplitude_as_chebyshev(persymmetric_weights(gap_family_spectrum(n, m)))
-        assert count_sign_changes(c, 4096) >= 2 * m + 1
+        assert count_sign_changes(c) >= 2 * m + 1
 
 
 class TestSignChangeGolden:
-    """Counts recorded from the sparse-combination implementation."""
+    """Sign-change counts pinned across changes of the series' representation."""
 
     golden = json.loads(GOLDEN_SIGN_CHANGES.read_text())
 
     def test_named_symmetric_spectra(self):
         wrong = []
         for case in self.golden["named"]:
-            if case["family"] == "krawtchouk":
-                req = SpectrumRequest(np.arange(case["N"] + 1.0) - case["N"] / 2.0)
-            elif case["family"] == "surgery":
-                req = surgery_spectrum(case["N"])
-            else:
-                req = gap_family_spectrum(case["n"], case["m"])
-            count = count_sign_changes(amplitude_as_chebyshev(persymmetric_weights(req)))
+            sd = persymmetric_weights(named_request(case))
+            count = count_sign_changes(amplitude_as_chebyshev(sd))
             if count != case["sign_changes"]:
                 wrong.append((case, count))
         assert len(self.golden["named"]) == 209
@@ -385,8 +369,7 @@ class TestSignChangeGolden:
     def test_criterion_7_random_combinations(self):
         wrong = []
         for case in self.golden["random"]:
-            coeffs = dict(enumerate(case["coefficients"], start=case["low"]))
-            count = count_sign_changes(ChebyshevCombination(coeffs))
+            count = count_sign_changes(combination(case["low"], case["coefficients"]))
             if count != case["sign_changes"]:
                 wrong.append((case, count))
         assert len(self.golden["random"]) == 100
