@@ -43,6 +43,11 @@ from .jacobi import (
 # Largest odd-integer index admitted in the transfer-time search.
 _ODD_CAP = 10_000
 
+# Transfer-time candidates tested together: the first block, and the cap on
+# every later block, which grows 4-fold from the first.
+_PST_FIRST_BLOCK = 8
+_PST_MAX_BLOCK = 1024
+
 # Scan step: min(T, 2*pi/spectral span) divided by this many subdivisions.
 _SCAN_DIVISIONS = 256
 
@@ -138,10 +143,17 @@ def detect_pst(req: SpectrumRequest, tol: float = 1e-8) -> PstCertificate:
     upward; for each, every gap is tested against its nearest odd multiple
     of delta at relative tolerance ``tol``.  The first feasible candidate
     is the largest delta, hence the earliest T0 = pi/delta.  Odd integers
-    are capped at 10^4: if even the first candidate overflows the cap the
-    spectrum is undecidable at this tolerance and
-    :class:`PstUndecidableError` is raised, distinct from a negative
-    certificate.
+    are capped at 10^4: the scan stops at the first candidate that needs a
+    larger one, and if even the first candidate does, the spectrum is
+    undecidable at this tolerance and :class:`PstUndecidableError` is
+    raised, distinct from a negative certificate.
+
+    Candidates are tested in blocks, one row per candidate, each row with
+    the floating-point operations of a test on its own.  The first block
+    holds ``_PST_FIRST_BLOCK`` candidates and each later one 4 times as
+    many, up to ``_PST_MAX_BLOCK``, so a spectrum with PST at j = 0 costs
+    one small block, the longest scan (about 10^4 candidates) about a dozen
+    blocks, and memory stays O(``_PST_MAX_BLOCK`` x sites).
     """
     if not 0.0 < tol <= 1e-4:
         raise ValueError("tol must lie in (0, 1e-4]")
@@ -149,17 +161,19 @@ def detect_pst(req: SpectrumRequest, tol: float = 1e-8) -> PstCertificate:
     spectrum = tuple(float(v) for v in lam)
     gaps = np.diff(lam)
     g_min = float(gaps.min())
-    tested_any = False
-    for j in range(_ODD_CAP + 1):
+    start, rows = 0, _PST_FIRST_BLOCK
+    while start <= _ODD_CAP:
+        j = np.arange(start, min(start + rows, _ODD_CAP + 1))
         delta = g_min / (2 * j + 1)
-        ratios = gaps / delta
+        ratios = gaps / delta[:, None]
         odd = np.maximum(2.0 * np.round(0.5 * (ratios - 1.0)) + 1.0, 1.0)
-        if odd.max() > 2 * _ODD_CAP + 1:
-            break
-        tested_any = True
-        if np.all(np.abs(ratios - odd) <= tol * ratios):
-            transfer_time = math.pi / delta
-            n_k = tuple(int(v) for v in np.rint(0.5 * (odd - 1.0)))
+        # the ratios grow with j, so the capped rows close the block
+        capped = odd.max(axis=1) > 2 * _ODD_CAP + 1
+        feasible = np.all(np.abs(ratios - odd) <= tol * ratios, axis=1) & ~capped
+        if feasible.any():
+            row = int(np.argmax(feasible))
+            transfer_time = math.pi / float(delta[row])
+            n_k = tuple(int(v) for v in np.rint(0.5 * (odd[row] - 1.0)))
             phase = amplitude(persymmetric_weights(req), "last", transfer_time)
             return PstCertificate(
                 has_pst=True,
@@ -168,11 +182,15 @@ def detect_pst(req: SpectrumRequest, tol: float = 1e-8) -> PstCertificate:
                 phase=phase,
                 eigenvalues=spectrum,
             )
-    if not tested_any:
-        raise PstUndecidableError(
-            "no transfer-time candidate is testable with odd integers up to "
-            f"{_ODD_CAP}; the gap ratio spread is too large"
-        )
+        if capped[0] and start == 0:
+            raise PstUndecidableError(
+                "no transfer-time candidate is testable with odd integers up to "
+                f"{_ODD_CAP}; the gap ratio spread is too large"
+            )
+        if capped[-1]:
+            break
+        start += j.size
+        rows = min(4 * rows, _PST_MAX_BLOCK)
     return PstCertificate(
         has_pst=False,
         transfer_time=None,

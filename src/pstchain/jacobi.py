@@ -10,14 +10,17 @@ wires the site-N amplitude is the same sum with alternating signs.
 
 One pivot recurrence serves the whole eigensolver: the guarded LDL^T
 pivots of T - sigma I.  Eigenvalues are located by multisection on their
-sign count (the Sturm count): each pass splits every open interval into
-``_SECTIONS`` equal parts and counts at all their interior shifts in one
-sweep, so about 11 passes reach working precision.  Eigenvectors come from
-twisted factorizations that join the forward and backward pivots at the
-eigenvalue, one sweep each way for all eigenvalues at once.  For the
-supported sizes (at most ``MAX_SITES`` sites) and simple, well separated
-spectra this gives eigenpair residuals and weights at working precision,
-also for strongly localized eigenvectors.
+sign count (the Sturm count).  Each starts from a narrow bracket about its
+LAPACK value, and one sweep over all the brackets' endpoints checks them
+(a bracket that fails starts from the Gershgorin interval instead); each
+pass then splits every open interval into ``_SECTIONS`` equal parts and
+counts at all their interior shifts in one sweep, so about 2 passes reach
+working precision.  Eigenvectors come from twisted factorizations that
+join the forward and backward pivots at the eigenvalue, one sweep each way
+for all eigenvalues at once.  For the supported sizes (at most
+``MAX_SITES`` sites) and simple, well separated spectra this gives
+eigenpair residuals and weights at working precision, also for strongly
+localized eigenvectors.
 
 The kernels work in one affine frame, ``_frame``: on (lambda - c) 2^-e,
 with c the midpoint and 2^e the power of two above the half-span (the
@@ -233,6 +236,14 @@ def _pivots(diag, off2, shifts, pivmin) -> np.ndarray:
 def _bisect_eigenvalues(diag, off, off2, pivmin) -> np.ndarray:
     """All eigenvalues of the tridiagonal matrix, in increasing order.
 
+    Each eigenvalue starts from the bracket guess -+ 8 n atol about its
+    LAPACK value (``numpy.linalg.eigvalsh`` of the dense matrix), with atol
+    the stopping tolerance below.  One ``_pivots`` call at all 2n endpoints
+    checks every bracket for count(lo) < index <= count(hi); a bracket that
+    fails, or whose guess is not finite, starts from the padded Gershgorin
+    interval instead.  The Sturm count alone thus decides every bracket,
+    and LAPACK only saves passes.
+
     Multisection on the Sturm count (Lo, Philippe & Sameh 1987): each pass
     evaluates every open interval (lo, hi) at ``_SECTIONS - 1`` equally
     spaced interior shifts in one ``_pivots`` call.  The new hi is the first
@@ -243,9 +254,9 @@ def _bisect_eigenvalues(diag, off, off2, pivmin) -> np.ndarray:
     max(atol, 2 eps max(|lo|, |hi|)), with atol = eps times the larger
     Gershgorin bound (Kahan's stopping rule, as in LAPACK ``dstebz``).
     Each eigenvalue is then accurate to about eps times the spectral scale,
-    and an eigenvalue at or near zero stops after about as many passes as
-    any other.  Intervals that can no longer be split in floating point
-    also stop, and the pass budget bounds the loop.
+    and a seeded bracket, 16 n atol wide, stops after about 2 passes.
+    Intervals that can no longer be split in floating point also stop, and
+    the pass budget bounds the loop.
     """
     n = diag.size
     radius = np.zeros(n)
@@ -256,9 +267,17 @@ def _bisect_eigenvalues(diag, off, off2, pivmin) -> np.ndarray:
     eps = np.finfo(float).eps
     atol = eps * max(abs(glo), abs(ghi))
     pad = 1e-3 * (ghi - glo)
-    lo = np.full(n, glo - pad)
-    hi = np.full(n, ghi + pad)
     want = np.arange(1, n + 1)
+    try:
+        guess = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    except np.linalg.LinAlgError:
+        guess = np.full(n, np.nan)
+    lo, hi = guess - 8 * n * atol, guess + 8 * n * atol
+    ends = np.concatenate([lo, hi])
+    counts = np.count_nonzero(_pivots(diag, off2, ends, pivmin) < 0.0, axis=0)
+    seeded = np.isfinite(guess) & (counts[:n] < want) & (want <= counts[n:])
+    lo = np.where(seeded, lo, glo - pad)
+    hi = np.where(seeded, hi, ghi + pad)
     fractions = np.arange(1, _SECTIONS)[:, None] / _SECTIONS
     for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
@@ -292,11 +311,12 @@ def _twisted_vectors(diag, off, off2, lam, pivmin) -> np.ndarray:
     twist = np.argmin(np.abs(d + r - (diag[:, None] - lam)), axis=0)
     up = -off[:, None] / d[:-1]
     down = -off[:, None] / r[1:]
+    # products taken outward from the twist, a factor 1 on the other side:
+    # the same multiplications, in the same order, as the walk from z_k = 1
+    i = np.arange(diag.size - 1)[:, None]
     z = np.ones_like(d)
-    for i in range(diag.size - 2, -1, -1):
-        z[i] = np.where(i < twist, up[i] * z[i + 1], z[i])
-    for i in range(1, diag.size):
-        z[i] = np.where(i > twist, down[i - 1] * z[i - 1], z[i])
+    z[:-1] = np.cumprod(np.where(i < twist, up, 1.0)[::-1], axis=0)[::-1]
+    z[1:] *= np.cumprod(np.where(i >= twist, down, 1.0), axis=0)
     return z / np.linalg.norm(z, axis=0)
 
 
@@ -346,8 +366,9 @@ def _eigensystem(J: JacobiMatrix) -> tuple[SpectralData, np.ndarray]:
 def eigendecompose(J: JacobiMatrix) -> SpectralData:
     """Eigenvalues (increasing) and first-component weights of the wire.
 
-    Eigenvalues come from multisection on the Sturm count (about 11 sweeps
-    over the sites), eigenvectors from twisted factorization; weights are
+    Eigenvalues come from multisection on the Sturm count, from brackets
+    seeded by LAPACK and checked in one sweep over the sites (then about 2
+    sweeps), eigenvectors from twisted factorization; weights are
     the squared first components, renormalized to sum to exactly 1.
     Couplings > 0 guarantee the spectrum is simple, and a computed gap below
     the simplicity tolerance raises :class:`EigensolverError` with the

@@ -11,6 +11,7 @@ import pstchain.dynamics as dynamics
 from pstchain import (
     EseReport,
     EseZero,
+    JacobiMatrix,
     PstCertificate,
     PstUndecidableError,
     SpectrumRequest,
@@ -18,6 +19,7 @@ from pstchain import (
     amplitude_values,
     detect_ese,
     detect_pst,
+    eigendecompose,
     gap_family_spectrum,
     persymmetric_weights,
     surgery_spectrum,
@@ -70,7 +72,86 @@ def brute_force_no_pst(gaps, j_max=10_000, tol=1e-8):
     return True
 
 
+def loop_detect_pst(req, tol):
+    """Reference for ``detect_pst``'s verdict: one candidate per iteration.
+
+    Returns (transfer_time, gap_odd_integers), None for no PST, or
+    "undecidable" when even the first candidate exceeds the odd cap.
+    """
+    gaps = np.diff(req.eigenvalues)
+    g_min = float(gaps.min())
+    tested_any = False
+    for j in range(dynamics._ODD_CAP + 1):
+        delta = g_min / (2 * j + 1)
+        ratios = gaps / delta
+        odd = np.maximum(2.0 * np.round(0.5 * (ratios - 1.0)) + 1.0, 1.0)
+        if odd.max() > 2 * dynamics._ODD_CAP + 1:
+            break
+        tested_any = True
+        if np.all(np.abs(ratios - odd) <= tol * ratios):
+            return math.pi / delta, tuple(int(v) for v in np.rint(0.5 * (odd - 1.0)))
+    return None if tested_any else "undecidable"
+
+
+def pst_corpus():
+    """Spectra for comparing ``detect_pst`` with its loop reference.
+
+    Spectra of seeded generic wires, odd-gap lattices (symmetric and not)
+    whose first feasible candidate falls on the first row of each of the
+    first six blocks and inside them,
+    near-uniform spectra that scan about 10^4 candidates without PST, and
+    gap spreads at and just over the odd cap.
+    """
+    rng = np.random.default_rng(83)
+    spectra = {}
+    for k in range(12):
+        n = int(rng.integers(2, 42))
+        wire = JacobiMatrix(
+            diag=rng.uniform(-2.0, 2.0, size=n), offdiag=rng.uniform(0.2, 3.0, size=n - 1)
+        )
+        spectra[f"wire-{k}"] = eigendecompose(wire).eigenvalues
+    for k, g in enumerate((1, 3, 9, 17, 43, 81, 169, 337, 681, 1361, 1705, 3409, 4001)):
+        # gaps are odd multiples of delta, the smallest of them g = 2j + 1
+        count = int(rng.integers(1, 20))
+        odds = np.concatenate([[g], g + 2 * rng.integers(0, g + 1, size=count)])
+        odds = rng.permutation(odds)
+        if k % 2:
+            odds = np.concatenate([odds, odds[::-1]])
+        delta = float(rng.uniform(0.2, 4.0))
+        spectra[f"lattice-{g}"] = np.concatenate([[0.0], np.cumsum(odds * delta)]) - 1.0
+    for k in range(3):
+        n = int(rng.integers(4, 42))
+        gaps = 1.0 + 1e-3 * rng.uniform(size=n - 1)
+        spectra[f"near-uniform-{k}"] = np.concatenate([[0.0], np.cumsum(gaps)])
+    # every candidate up to the odd cap testable, none feasible at 1e-8
+    spectra["near-equal-pair"] = np.array([0.0, 1.0, 2.0 + 1e-6])
+    spectra["undecidable"] = np.array([0.0, 1e-6, 1.0 + 1e-6])
+    spectra["spread-at-cap"] = np.array([0.0, 1.0, 20002.0])
+    spectra["spread-over-cap"] = np.array([0.0, 1.0, 20004.0])
+    return spectra
+
+
+PST_CORPUS = pst_corpus()
+
+
 class TestDetectPst:
+    @pytest.mark.parametrize("tol", [1e-8, 1e-5])
+    @pytest.mark.parametrize("name", PST_CORPUS)
+    def test_matches_loop_reference(self, name, tol):
+        req = SpectrumRequest(PST_CORPUS[name])
+        expected = loop_detect_pst(req, tol)
+        if expected == "undecidable":
+            with pytest.raises(PstUndecidableError):
+                detect_pst(req, tol)
+            return
+        cert = detect_pst(req, tol)
+        if expected is None:
+            assert not cert.has_pst
+        else:
+            assert cert.has_pst
+            assert (cert.transfer_time, cert.gap_odd_integers) == expected
+
+
     def test_four_site_example(self):
         req, _ = four_site_data()
         cert = detect_pst(req)

@@ -95,6 +95,25 @@ def plain_bisection(J, halvings=64):
     return 0.5 * (lo + hi)
 
 
+def loop_twisted_vectors(diag, off, off2, lam, pivmin):
+    """Reference for ``jacobi._twisted_vectors``: the outward walk as loops.
+
+    From z_k = 1 at the twist, one row per step: z_i = up_i z_{i+1} above
+    the twist, then z_i = down_{i-1} z_{i-1} below it.
+    """
+    d = jacobi._pivots(diag, off2, lam, pivmin)
+    r = jacobi._pivots(diag[::-1], off2[::-1], lam, pivmin)[::-1]
+    twist = np.argmin(np.abs(d + r - (diag[:, None] - lam)), axis=0)
+    up = -off[:, None] / d[:-1]
+    down = -off[:, None] / r[1:]
+    z = np.ones_like(d)
+    for i in range(diag.size - 2, -1, -1):
+        z[i] = np.where(i < twist, up[i] * z[i + 1], z[i])
+    for i in range(1, diag.size):
+        z[i] = np.where(i > twist, down[i - 1] * z[i - 1], z[i])
+    return z / np.linalg.norm(z, axis=0)
+
+
 def to_dense(J):
     """The wire as a dense symmetric (n_sites x n_sites) array."""
     return np.diag(J.diag) + np.diag(J.offdiag, 1) + np.diag(J.offdiag, -1)
@@ -246,8 +265,8 @@ class TestEigendecompose:
     @pytest.mark.parametrize("case", [*range(1, 41), *DRAWS])
     def test_bisection_sweeps_odd_krawtchouk(self, case, monkeypatch):
         # every Krawtchouk chain (odd site counts put an eigenvalue at
-        # exactly 0) and the seeded draws: 32-way multisection takes 11
-        # passes on each
+        # exactly 0) and the seeded draws: the seeded brackets pass their
+        # check, and 32-way multisection then takes at most 2 passes
         if isinstance(case, int):
             wires = [krawtchouk_chain(case)]
         else:
@@ -256,8 +275,53 @@ class TestEigendecompose:
         for J in wires:
             calls.clear()
             _eigensystem(J)
-            # the twisted factorization adds one forward and one backward sweep
-            assert len(calls) - 2 <= 12
+            # one check, then the passes; the twisted factorization adds
+            # one forward and one backward sweep
+            assert len(calls) - 2 <= 1 + 2
+
+    @pytest.mark.parametrize("corruption", ["rolled", "shifted", "nan"])
+    def test_rejected_seed_falls_back_to_gershgorin(self, corruption, monkeypatch):
+        # guesses that sit on a neighbouring eigenvalue, lie several gaps
+        # beyond the spectrum, or are not numbers fail the Sturm check; their
+        # brackets restart from the Gershgorin interval, which costs passes
+        # but no accuracy
+        eigvalsh = np.linalg.eigvalsh
+
+        def corrupted(a):
+            guess = eigvalsh(a)
+            if corruption == "rolled":
+                return np.roll(guess, 1)
+            if corruption == "shifted":
+                return guess + 3.0 * (guess[-1] - guess[0])
+            return np.full_like(guess, np.nan)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", corrupted)
+        calls = count_calls(monkeypatch, "_pivots")
+        wires = [krawtchouk_chain(N) for N in (1, 2, 20, 40)]
+        wires += [*random_wires("generic"), *random_wires("localized")]
+        eps = np.finfo(float).eps
+        for J in wires:
+            calls.clear()
+            lam = _eigensystem(J)[0].eigenvalues
+            assert len(calls) - 2 > 1 + 2
+            scale = np.abs(lam).max()
+            assert np.abs(lam - plain_bisection(J)).max() <= 2 * eps * scale
+
+    @pytest.mark.parametrize("kind", ["krawtchouk", *DRAWS])
+    def test_twisted_vectors_match_loop_form(self, kind):
+        # the cumulative products repeat the loop's multiplications exactly
+        if kind == "krawtchouk":
+            wires = [krawtchouk_chain(N) for N in (3, 20, 40)]
+        else:
+            wires = random_wires(kind)
+        for J in wires:
+            args = (
+                J.diag, J.offdiag, J.offdiag**2,
+                eigendecompose(J).eigenvalues, sturm_pivmin(J),
+            )
+            assert np.array_equal(
+                jacobi._twisted_vectors(*args), loop_twisted_vectors(*args)
+            )
 
     @pytest.mark.parametrize("kind", ["krawtchouk", "localized"])
     def test_sturm_count_is_monotone(self, kind):
