@@ -158,22 +158,24 @@ def detect_pst(req: SpectrumRequest, tol: float = 1e-8) -> PstCertificate:
     if not 0.0 < tol <= 1e-4:
         raise ValueError("tol must lie in (0, 1e-4]")
     lam = req.eigenvalues
-    spectrum = tuple(float(v) for v in lam)
+    spectrum = tuple(lam.tolist())
     gaps = np.diff(lam)
     g_min = float(gaps.min())
     start, rows = 0, _PST_FIRST_BLOCK
     while start <= _ODD_CAP:
-        j = np.arange(start, min(start + rows, _ODD_CAP + 1))
-        delta = g_min / (2 * j + 1)
+        stop = min(start + rows, _ODD_CAP + 1)
+        # candidates j = start .. stop - 1, divided by 2j + 1
+        delta = g_min / np.arange(2 * start + 1, 2 * stop, 2.0)
         ratios = gaps / delta[:, None]
         odd = np.maximum(2.0 * np.round(0.5 * (ratios - 1.0)) + 1.0, 1.0)
         # the ratios grow with j, so the capped rows close the block
         capped = odd.max(axis=1) > 2 * _ODD_CAP + 1
-        feasible = np.all(np.abs(ratios - odd) <= tol * ratios, axis=1) & ~capped
-        if feasible.any():
-            row = int(np.argmax(feasible))
+        feasible = (np.abs(ratios - odd) <= tol * ratios).all(axis=1) & ~capped
+        hits = np.flatnonzero(feasible)
+        if hits.size:
+            row = hits[0]
             transfer_time = math.pi / float(delta[row])
-            n_k = tuple(int(v) for v in np.rint(0.5 * (odd[row] - 1.0)))
+            n_k = tuple(np.rint(0.5 * (odd[row] - 1.0)).astype(int).tolist())
             phase = amplitude(persymmetric_weights(req), "last", transfer_time)
             return PstCertificate(
                 has_pst=True,
@@ -189,7 +191,7 @@ def detect_pst(req: SpectrumRequest, tol: float = 1e-8) -> PstCertificate:
             )
         if capped[-1]:
             break
-        start += j.size
+        start = stop
         rows = min(4 * rows, _PST_MAX_BLOCK)
     return PstCertificate(
         has_pst=False,
