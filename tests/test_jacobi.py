@@ -279,12 +279,12 @@ class TestEigendecompose:
             # one forward and one backward sweep
             assert len(calls) - 2 <= 1 + 2
 
-    @pytest.mark.parametrize("corruption", ["rolled", "shifted", "nan"])
+    @pytest.mark.parametrize("corruption", ["rolled", "shifted", "nan", "error"])
     def test_rejected_seed_falls_back_to_gershgorin(self, corruption, monkeypatch):
-        # guesses that sit on a neighbouring eigenvalue, lie several gaps
-        # beyond the spectrum, or are not numbers fail the Sturm check; their
-        # brackets restart from the Gershgorin interval, which costs passes
-        # but no accuracy
+        # guesses that sit on a neighbouring eigenvalue, lie three spectral
+        # spans away or are not numbers fail the Sturm check, as does every
+        # guess when LAPACK fails; their brackets restart from the
+        # Gershgorin interval, which costs passes but no accuracy
         eigvalsh = np.linalg.eigvalsh
 
         def corrupted(a):
@@ -293,7 +293,9 @@ class TestEigendecompose:
                 return np.roll(guess, 1)
             if corruption == "shifted":
                 return guess + 3.0 * (guess[-1] - guess[0])
-            return np.full_like(guess, np.nan)
+            if corruption == "nan":
+                return np.full_like(guess, np.nan)
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigvalsh", corrupted)
         calls = count_calls(monkeypatch, "_pivots")
