@@ -1,8 +1,10 @@
 """Command-line behavior: documents, determinism, SVG output, exit codes.
 
 The golden files under ``tests/golden/cli`` pin every output byte of the
-pipeline for a few named documents.  Re-record them, only when an output
-change is intended, with ``PYTHONPATH=src python tests/test_cli.py``.
+pipeline for a few named documents, and those under ``tests/golden/matrix_only``
+pin ``analyze`` of three of them reduced to their matrix.  Re-record them,
+only when an output change is intended, with
+``PYTHONPATH=src python tests/test_cli.py``.
 """
 
 import io
@@ -37,6 +39,28 @@ GOLDEN_DOCUMENTS = {
     "gap-family-10-5": ["gap-family", "--n", "10", "--m", "5"],
     "gap-family-20-9": ["gap-family", "--n", "20", "--m", "9"],
 }
+
+
+GOLDEN_MATRIX_ONLY = Path(__file__).parent / "golden" / "matrix_only"
+
+# golden documents whose matrix alone goes through analyze, the CLI's one
+# eigensolver path: 4, 40 and 41 sites
+MATRIX_ONLY_DOCUMENTS = ("example-4x4", "gap-family-20-9", "krawtchouk-N40")
+
+
+def named_documents():
+    """construct arguments of every named document and its exact ESE count.
+
+    Krawtchouk chains have no zero, surgery wires one, gap family (n, m) m.
+    """
+    for N in range(1, 41):
+        yield pytest.param(["krawtchouk", "--N", str(N)], 0, id=f"krawtchouk-N{N}")
+    for N in range(3, 40, 2):
+        yield pytest.param(["surgery", "--N", str(N)], 1, id=f"surgery-N{N}")
+    for n in range(2, 21):
+        for m in range(1, 10):
+            args = ["gap-family", "--n", str(n), "--m", str(m)]
+            yield pytest.param(args, m, id=f"gap-family-{n}-{m}")
 
 
 def run(tmp_path, *argv):
@@ -82,6 +106,30 @@ def test_matches_golden_cli_outputs(name, tmp_path):
     assert sorted(got) == sorted(path.name for path in golden.iterdir())
     for file_name, content in got.items():
         assert content == (golden / file_name).read_bytes(), file_name
+
+
+def matrix_only_analysis(construct_args, workdir: Path) -> bytes:
+    """analyze's output on a copy of the construct document with only its matrix."""
+    doc, copy, report = (workdir / name for name in ("doc.json", "matrix.json", "report.json"))
+    with redirect_stdout(io.StringIO()):
+        assert main(["construct", *construct_args, "--out", str(doc)]) == 0
+        copy.write_text(json.dumps({"matrix": json.loads(doc.read_text())["matrix"]}))
+        assert main(["analyze", "--in", str(copy), "--out", str(report)]) == 0
+    return report.read_bytes()
+
+
+@pytest.mark.parametrize("name", MATRIX_ONLY_DOCUMENTS)
+def test_matrix_only_analysis_matches_golden(name, tmp_path):
+    got = matrix_only_analysis(GOLDEN_DOCUMENTS[name], tmp_path)
+    assert got == (GOLDEN_MATRIX_ONLY / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("construct_args,count", named_documents())
+def test_matrix_only_analysis_counts_every_zero(construct_args, count, tmp_path):
+    # the eigensolver's weights carry no 12-digit rounding, so every named
+    # wire reports its exact zero count; plateau minima may stay unresolved
+    report = json.loads(matrix_only_analysis(construct_args, tmp_path))
+    assert len(report["ese"]["zeros"]) == count
 
 
 class TestConstruct:
@@ -580,4 +628,10 @@ if __name__ == "__main__":
             stale.unlink()
         for file_name, content in files.items():
             (target / file_name).write_bytes(content)
+        print(f"recorded {target}", file=sys.stderr)
+    GOLDEN_MATRIX_ONLY.mkdir(exist_ok=True)
+    for name in MATRIX_ONLY_DOCUMENTS:
+        with tempfile.TemporaryDirectory() as workdir:
+            target = GOLDEN_MATRIX_ONLY / f"{name}.json"
+            target.write_bytes(matrix_only_analysis(GOLDEN_DOCUMENTS[name], Path(workdir)))
         print(f"recorded {target}", file=sys.stderr)
