@@ -58,13 +58,16 @@ def persymmetric_weights(req: SpectrumRequest) -> SpectralData:
 
 
 def reconstruct_jacobi(sd: SpectralData) -> JacobiMatrix:
-    """The Jacobi matrix whose spectral data equals ``sd``.
+    """The persymmetric Jacobi matrix whose spectral data equals ``sd``.
 
     Lanczos with full (double) reorthogonalization recovers the recurrence
     coefficients of the discrete measure; the exact answer for
     mirror-symmetric weights is persymmetric, so residual coupling
     asymmetry below ``1e-6`` of the half-span (rounded up to a power of two)
     is averaged away and anything larger raises :class:`ReconstructionError`.
+    Valid spectral data whose weights are not mirror-symmetric (not those
+    of ``persymmetric_weights``) thus raise that error too: their wire is
+    not persymmetric, and no general reconstruction is offered.
     """
     c, e = _frame(sd.eigenvalues)
     lam = np.ldexp(sd.eigenvalues - c, -e)

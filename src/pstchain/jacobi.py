@@ -11,13 +11,15 @@ wires the site-N amplitude is the same sum with alternating signs.
 One pivot recurrence serves the whole eigensolver: the guarded LDL^T
 pivots of T - sigma I.  Eigenvalues are located by multisection on their
 sign count (the Sturm count).  Each starts from a narrow bracket about its
-LAPACK value, and one sweep over all the brackets' endpoints checks them
-(a bracket that fails starts from the Gershgorin interval instead); each
-pass then splits every open interval into ``_SECTIONS`` equal parts and
-counts at all their interior shifts in one sweep, so about 2 passes reach
-working precision.  Eigenvectors come from twisted factorizations that
-join the forward and backward pivots at the eigenvalue, one sweep each way
-for all eigenvalues at once.  For the supported sizes (at most
+LAPACK value.  Each pass splits every open interval into ``_SECTIONS``
+equal parts and counts at all their interior shifts in one sweep over the
+sites; the first pass also counts at the brackets' ends, which checks them
+(a bracket that fails restarts from the Gershgorin interval).  About 2
+passes reach working precision.  Eigenvectors come from twisted
+factorizations that join the forward and backward pivots at the
+eigenvalue, both from one sweep over T and its mirror image for all
+eigenvalues at once, so a solve takes three sweeps.  For the supported
+sizes (at most
 ``MAX_SITES`` sites) and simple, well separated spectra this gives
 eigenpair residuals and weights at working precision, also for strongly
 localized eigenvectors.
@@ -220,16 +222,21 @@ class AmplitudeSeries:
 def _pivots(diag, off2, shifts, pivmin) -> np.ndarray:
     """Guarded LDL^T pivots of T - sigma I, one row per site, per shift.
 
-    A pivot smaller in magnitude than ``pivmin`` is replaced by ``-pivmin``,
-    so the recurrence never divides by zero and a vanishing pivot counts as
-    negative in the Sturm sequence.
+    ``diag`` and ``off2`` run over the sites on their first axis, and the
+    rest of their shape broadcasts against ``shifts`` (``diag[:, None]``
+    for a flat array of shifts), so one sweep over the sites can also
+    serve several matrices at once.  A pivot smaller in magnitude than
+    ``pivmin`` is replaced by ``-pivmin``, so the recurrence never divides
+    by zero and a vanishing pivot counts as negative in the Sturm sequence.
     """
-    piv = np.empty((diag.size,) + np.shape(shifts))
-    for i in range(diag.size):
-        d = diag[i] - shifts
+    piv = np.subtract(diag, shifts)
+    buf = np.empty_like(piv[0])
+    for i, d in enumerate(piv):
         if i:
-            d = d - off2[i - 1] / piv[i - 1]
-        piv[i] = np.where(np.abs(d) < pivmin, -pivmin, d)
+            np.divide(off2[i - 1], piv[i - 1], out=buf)
+            np.subtract(d, buf, out=d)
+        if np.abs(d, out=buf).min() < pivmin:
+            d[buf < pivmin] = -pivmin
     return piv
 
 
@@ -238,11 +245,8 @@ def _bisect_eigenvalues(diag, off, off2, pivmin) -> np.ndarray:
 
     Each eigenvalue starts from the bracket guess -+ 8 n atol about its
     LAPACK value (``numpy.linalg.eigvalsh`` of the dense matrix), with atol
-    the stopping tolerance below.  One ``_pivots`` call at all 2n endpoints
-    checks every bracket for count(lo) < index <= count(hi); a bracket that
-    fails, or whose guess is not finite, starts from the padded Gershgorin
-    interval instead.  The Sturm count alone thus decides every bracket,
-    and LAPACK only saves passes.
+    the stopping tolerance below, or from the padded Gershgorin interval
+    if the guess is not finite.
 
     Multisection on the Sturm count (Lo, Philippe & Sameh 1987): each pass
     evaluates every open interval (lo, hi) at ``_SECTIONS - 1`` equally
@@ -250,6 +254,13 @@ def _bisect_eigenvalues(diag, off, off2, pivmin) -> np.ndarray:
     shift whose count reaches the eigenvalue's index and the new lo is the
     shift just before it, so count(lo) < index <= count(hi) holds by
     construction and each pass narrows the interval ``_SECTIONS``-fold.
+    The first pass takes every bracket and also counts at its two ends,
+    which checks the seeded brackets in the same sweep: a bracket that
+    fails count(lo) < index <= count(hi) restarts from the padded
+    Gershgorin interval, and that pass leaves it otherwise untouched.  The
+    Sturm count alone thus decides every bracket, and LAPACK only saves
+    passes.
+
     An interval stops once its width is at most
     max(atol, 2 eps max(|lo|, |hi|)), with atol = eps times the larger
     Gershgorin bound (Kahan's stopping rule, as in LAPACK ``dstebz``).
@@ -272,28 +283,31 @@ def _bisect_eigenvalues(diag, off, off2, pivmin) -> np.ndarray:
         guess = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     except np.linalg.LinAlgError:
         guess = np.full(n, np.nan)
-    lo, hi = guess - 8 * n * atol, guess + 8 * n * atol
-    ends = np.concatenate([lo, hi])
-    counts = np.count_nonzero(_pivots(diag, off2, ends, pivmin) < 0.0, axis=0)
-    seeded = np.isfinite(guess) & (counts[:n] < want) & (want <= counts[n:])
-    lo = np.where(seeded, lo, glo - pad)
-    hi = np.where(seeded, hi, ghi + pad)
+    seeded = np.isfinite(guess)
+    lo = np.where(seeded, guess - 8 * n * atol, glo - pad)
+    hi = np.where(seeded, guess + 8 * n * atol, ghi + pad)
+    sites = diag[:, None, None], off2[:, None, None]
     fractions = np.arange(1, _SECTIONS)[:, None] / _SECTIONS
+    active, counted = np.arange(n), slice(None)
     for _ in range(_BISECT_MAX_ITER):
+        a, b, k = lo[active], hi[active], want[active]
+        grid = np.vstack([a, a + fractions * (b - a), b])
+        # past the first pass, count(a) < k <= count(b) by construction
+        counts = np.empty(grid.shape, dtype=int)
+        counts[0], counts[-1] = k - 1, k
+        pivots = _pivots(*sites, grid[counted], pivmin)
+        counts[counted] = np.count_nonzero(pivots < 0.0, axis=0)
+        counted = slice(1, -1)
+        held = (counts[0] < k) & (k <= counts[-1])
+        first = np.argmax(counts >= k, axis=0)
+        columns = np.arange(active.size)
+        lo[active] = np.where(held, grid[first - 1, columns], glo - pad)
+        hi[active] = np.where(held, grid[first, columns], ghi + pad)
         mid = 0.5 * (lo + hi)
         width = np.maximum(atol, 2.0 * eps * np.maximum(np.abs(lo), np.abs(hi)))
         active = np.nonzero((hi - lo > width) & (mid > lo) & (mid < hi))[0]
         if not active.size:
             break
-        a, b = lo[active], hi[active]
-        grid = np.vstack([a, a + fractions * (b - a), b])
-        counts = np.count_nonzero(_pivots(diag, off2, grid[1:-1], pivmin) < 0.0, axis=0)
-        # b closes the column: its count reaches want by the invariant
-        reached = np.vstack([counts >= want[active], np.ones(active.size, bool)])
-        first = np.argmax(reached, axis=0) + 1
-        columns = np.arange(active.size)
-        lo[active] = grid[first - 1, columns]
-        hi[active] = grid[first, columns]
     return 0.5 * (lo + hi)
 
 
@@ -302,12 +316,18 @@ def _twisted_vectors(diag, off, off2, lam, pivmin) -> np.ndarray:
 
     The forward pivots d and backward pivots r of T - lambda I meet at the
     twist index k where |d_k + r_k - (a_k - lambda)| is smallest, which is
-    where the eigenvector is largest (Dhillon & Parlett 2004).  From z_k = 1
+    where the eigenvector is largest (Dhillon & Parlett 2004).  One sweep
+    over the sites of T and of its mirror image gives both.  From z_k = 1
     the components follow outward as z_i = -(b_i / d_i) z_{i+1} above the
     twist and z_i = -(b_{i-1} / r_i) z_{i-1} below it.
     """
-    d = _pivots(diag, off2, lam, pivmin)
-    r = _pivots(diag[::-1], off2[::-1], lam, pivmin)[::-1]
+    both = _pivots(
+        np.stack([diag, diag[::-1]], axis=1)[..., None],
+        np.stack([off2, off2[::-1]], axis=1)[..., None],
+        lam,
+        pivmin,
+    )
+    d, r = both[:, 0], both[::-1, 1]
     twist = np.argmin(np.abs(d + r - (diag[:, None] - lam)), axis=0)
     up = -off[:, None] / d[:-1]
     down = -off[:, None] / r[1:]
@@ -367,9 +387,10 @@ def eigendecompose(J: JacobiMatrix) -> SpectralData:
     """Eigenvalues (increasing) and first-component weights of the wire.
 
     Eigenvalues come from multisection on the Sturm count, from brackets
-    seeded by LAPACK and checked in one sweep over the sites (then about 2
-    sweeps), eigenvectors from twisted factorization; weights are
-    the squared first components, renormalized to sum to exactly 1.
+    seeded by LAPACK and checked within the first of about 2 sweeps over
+    the sites, eigenvectors from twisted factorization in one more sweep;
+    weights are the squared first components, renormalized to sum to
+    exactly 1.
     Couplings > 0 guarantee the spectrum is simple, and a computed gap below
     the simplicity tolerance raises :class:`EigensolverError` with the
     offending index.  The wire is solved once per instance; later calls, and

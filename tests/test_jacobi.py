@@ -95,14 +95,69 @@ def plain_bisection(J, halvings=64):
     return 0.5 * (lo + hi)
 
 
+def five_sweep_pivots(diag, off2, shifts, pivmin):
+    """Reference for ``jacobi._pivots`` on one flat matrix: new arrays per site."""
+    piv = np.empty((diag.size,) + np.shape(shifts))
+    for i in range(diag.size):
+        d = diag[i] - shifts
+        if i:
+            d = d - off2[i - 1] / piv[i - 1]
+        piv[i] = np.where(np.abs(d) < pivmin, -pivmin, d)
+    return piv
+
+
+def five_sweep_bisection(diag, off, off2, pivmin):
+    """Reference for ``jacobi._bisect_eigenvalues``: a sweep of its own checks
+    the seeded brackets, and every multisection pass then counts only at the
+    interior shifts."""
+    n = diag.size
+    radius = np.zeros(n)
+    radius[:-1] += np.abs(off)
+    radius[1:] += np.abs(off)
+    glo = float(np.min(diag - radius))
+    ghi = float(np.max(diag + radius))
+    eps = np.finfo(float).eps
+    atol = eps * max(abs(glo), abs(ghi))
+    pad = 1e-3 * (ghi - glo)
+    want = np.arange(1, n + 1)
+    try:
+        guess = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    except np.linalg.LinAlgError:
+        guess = np.full(n, np.nan)
+    lo, hi = guess - 8 * n * atol, guess + 8 * n * atol
+    ends = np.concatenate([lo, hi])
+    counts = np.count_nonzero(five_sweep_pivots(diag, off2, ends, pivmin) < 0.0, axis=0)
+    seeded = np.isfinite(guess) & (counts[:n] < want) & (want <= counts[n:])
+    lo = np.where(seeded, lo, glo - pad)
+    hi = np.where(seeded, hi, ghi + pad)
+    fractions = np.arange(1, jacobi._SECTIONS)[:, None] / jacobi._SECTIONS
+    for _ in range(jacobi._BISECT_MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        width = np.maximum(atol, 2.0 * eps * np.maximum(np.abs(lo), np.abs(hi)))
+        active = np.nonzero((hi - lo > width) & (mid > lo) & (mid < hi))[0]
+        if not active.size:
+            break
+        a, b = lo[active], hi[active]
+        grid = np.vstack([a, a + fractions * (b - a), b])
+        pivots = five_sweep_pivots(diag, off2, grid[1:-1], pivmin)
+        counts = np.count_nonzero(pivots < 0.0, axis=0)
+        reached = np.vstack([counts >= want[active], np.ones(active.size, bool)])
+        first = np.argmax(reached, axis=0) + 1
+        columns = np.arange(active.size)
+        lo[active] = grid[first - 1, columns]
+        hi[active] = grid[first, columns]
+    return 0.5 * (lo + hi)
+
+
 def loop_twisted_vectors(diag, off, off2, lam, pivmin):
-    """Reference for ``jacobi._twisted_vectors``: the outward walk as loops.
+    """Reference for ``jacobi._twisted_vectors``: one forward and one backward
+    sweep, then the outward walk as loops.
 
     From z_k = 1 at the twist, one row per step: z_i = up_i z_{i+1} above
     the twist, then z_i = down_{i-1} z_{i-1} below it.
     """
-    d = jacobi._pivots(diag, off2, lam, pivmin)
-    r = jacobi._pivots(diag[::-1], off2[::-1], lam, pivmin)[::-1]
+    d = five_sweep_pivots(diag, off2, lam, pivmin)
+    r = five_sweep_pivots(diag[::-1], off2[::-1], lam, pivmin)[::-1]
     twist = np.argmin(np.abs(d + r - (diag[:, None] - lam)), axis=0)
     up = -off[:, None] / d[:-1]
     down = -off[:, None] / r[1:]
@@ -112,6 +167,47 @@ def loop_twisted_vectors(diag, off, off2, lam, pivmin):
     for i in range(1, diag.size):
         z[i] = np.where(i > twist, down[i - 1] * z[i - 1], z[i])
     return z / np.linalg.norm(z, axis=0)
+
+
+def assert_matches_five_sweep_solver(J, monkeypatch):
+    """``_eigensystem`` gives the same bits as with both reference stages."""
+    sd, vectors = _eigensystem(J)
+    with monkeypatch.context() as patch:
+        patch.setattr(jacobi, "_bisect_eigenvalues", five_sweep_bisection)
+        patch.setattr(jacobi, "_twisted_vectors", loop_twisted_vectors)
+        ref, ref_vectors = _eigensystem(J)
+    assert np.array_equal(sd.eigenvalues, ref.eigenvalues)
+    assert np.array_equal(sd.weights, ref.weights)
+    assert np.array_equal(vectors, ref_vectors)
+
+
+def corrupt_eigvalsh(monkeypatch, corruption):
+    """Make LAPACK's eigenvalue guesses wrong in the way ``corruption`` names.
+
+    "rolled" puts each guess on a neighbouring eigenvalue, "shifted" three
+    spectral spans away, "nan" makes every guess NaN, and "error" raises.
+    """
+    eigvalsh = np.linalg.eigvalsh
+
+    def corrupted(a):
+        guess = eigvalsh(a)
+        if corruption == "rolled":
+            return np.roll(guess, 1)
+        if corruption == "shifted":
+            return guess + 3.0 * (guess[-1] - guess[0])
+        if corruption == "nan":
+            return np.full_like(guess, np.nan)
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", corrupted)
+
+
+CORRUPTIONS = ["rolled", "shifted", "nan", "error"]
+
+
+def fallback_wires():
+    wires = [krawtchouk_chain(N) for N in (1, 2, 20, 40)]
+    return wires + [*random_wires("generic"), *random_wires("localized")]
 
 
 def to_dense(J):
@@ -265,8 +361,9 @@ class TestEigendecompose:
     @pytest.mark.parametrize("case", [*range(1, 41), *DRAWS])
     def test_bisection_sweeps_odd_krawtchouk(self, case, monkeypatch):
         # every Krawtchouk chain (odd site counts put an eigenvalue at
-        # exactly 0) and the seeded draws: the seeded brackets pass their
-        # check, and 32-way multisection then takes at most 2 passes
+        # exactly 0) and the seeded draws: the seeded brackets pass the
+        # check in the first pass, 32-way multisection takes at most 2
+        # passes, and one sweep gives the twisted factorization
         if isinstance(case, int):
             wires = [krawtchouk_chain(case)]
         else:
@@ -275,32 +372,36 @@ class TestEigendecompose:
         for J in wires:
             calls.clear()
             _eigensystem(J)
-            # one check, then the passes; the twisted factorization adds
-            # one forward and one backward sweep
-            assert len(calls) - 2 <= 1 + 2
+            assert len(calls) <= 3
 
-    @pytest.mark.parametrize("corruption", ["rolled", "shifted", "nan", "error"])
+    @pytest.mark.parametrize("kind", ["krawtchouk", *DRAWS])
+    def test_matches_five_sweep_solver(self, kind, monkeypatch):
+        # the same IEEE operations in the same order as the solver with a
+        # separate check sweep and separate forward and backward sweeps
+        if kind == "krawtchouk":
+            wires = [krawtchouk_chain(N) for N in range(1, 41)]
+        else:
+            wires = random_wires(kind)
+        for J in wires:
+            assert_matches_five_sweep_solver(J, monkeypatch)
+
+    @pytest.mark.parametrize("corruption", CORRUPTIONS)
+    def test_rejected_seed_matches_five_sweep_solver(self, corruption, monkeypatch):
+        # a bracket that fails the check skips the first pass, so it takes
+        # one pass more than with a separate check sweep, and no other bit
+        corrupt_eigvalsh(monkeypatch, corruption)
+        for J in fallback_wires():
+            assert_matches_five_sweep_solver(J, monkeypatch)
+
+    @pytest.mark.parametrize("corruption", CORRUPTIONS)
     def test_rejected_seed_falls_back_to_gershgorin(self, corruption, monkeypatch):
         # guesses that sit on a neighbouring eigenvalue, lie three spectral
         # spans away or are not numbers fail the Sturm check, as does every
         # guess when LAPACK fails; their brackets restart from the
         # Gershgorin interval, which costs passes but no accuracy
-        eigvalsh = np.linalg.eigvalsh
-
-        def corrupted(a):
-            guess = eigvalsh(a)
-            if corruption == "rolled":
-                return np.roll(guess, 1)
-            if corruption == "shifted":
-                return guess + 3.0 * (guess[-1] - guess[0])
-            if corruption == "nan":
-                return np.full_like(guess, np.nan)
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", corrupted)
+        corrupt_eigvalsh(monkeypatch, corruption)
         calls = count_calls(monkeypatch, "_pivots")
-        wires = [krawtchouk_chain(N) for N in (1, 2, 20, 40)]
-        wires += [*random_wires("generic"), *random_wires("localized")]
+        wires = fallback_wires()
         eps = np.finfo(float).eps
         for J in wires:
             calls.clear()
@@ -340,10 +441,46 @@ class TestEigendecompose:
             lam,
             np.nextafter(lam, np.inf),
         ]))
-        pivots = jacobi._pivots(J.diag, J.offdiag**2, shifts, sturm_pivmin(J))
+        pivots = jacobi._pivots(
+            J.diag[:, None], (J.offdiag**2)[:, None], shifts, sturm_pivmin(J)
+        )
         counts = np.count_nonzero(pivots < 0.0, axis=0)
         assert np.all(np.diff(counts) >= 0)
         assert counts[0] == 0 and counts[-1] == J.n_sites
+
+    @pytest.mark.parametrize("kind", ["krawtchouk", *DRAWS])
+    def test_stacked_pivots_equal_separate_sweeps(self, kind):
+        # the twisted factorization's one sweep over a wire and its mirror
+        # image gives the bits of one sweep over each
+        if kind == "krawtchouk":
+            wires = [krawtchouk_chain(N) for N in (1, 20, 40)]
+        else:
+            wires = random_wires(kind)
+        for J in wires:
+            diag, off2 = J.diag, J.offdiag**2
+            lam, pivmin = eigendecompose(J).eigenvalues, sturm_pivmin(J)
+            stacked = jacobi._pivots(
+                np.stack([diag, diag[::-1]], axis=1)[..., None],
+                np.stack([off2, off2[::-1]], axis=1)[..., None],
+                lam,
+                pivmin,
+            )
+            for column, (a, b2) in enumerate([(diag, off2), (diag[::-1], off2[::-1])]):
+                separate = jacobi._pivots(a[:, None], b2[:, None], lam, pivmin)
+                assert np.array_equal(stacked[:, column], separate)
+
+    @pytest.mark.parametrize("N", [2, 4, 40])
+    def test_zero_shift_on_zero_diagonal_is_guarded(self, N):
+        # a shift of exactly 0 on a Krawtchouk chain makes the first pivot
+        # 0, and the guard then leaves -pivmin where the reference does
+        J = krawtchouk_chain(N)
+        shifts = np.array([-0.5, 0.0, 0.5])
+        args = (J.offdiag**2, shifts, sturm_pivmin(J))
+        pivots = jacobi._pivots(J.diag[:, None], args[0][:, None], *args[1:])
+        reference = five_sweep_pivots(J.diag, *args)
+        assert np.array_equal(pivots, reference)
+        guarded = pivots == -sturm_pivmin(J)
+        assert guarded[0, 1] and not guarded[:, [0, 2]].any()
 
     @pytest.mark.parametrize(
         "diag,offdiag", [([1.0, 0.0], [1e-9]), ([1.0, 0.0, 0.5], [1e-9, 0.3])]
