@@ -401,9 +401,8 @@ class TestEigendecompose:
         # Gershgorin interval, which costs passes but no accuracy
         corrupt_eigvalsh(monkeypatch, corruption)
         calls = count_calls(monkeypatch, "_pivots")
-        wires = fallback_wires()
         eps = np.finfo(float).eps
-        for J in wires:
+        for J in fallback_wires():
             calls.clear()
             lam = _eigensystem(J)[0].eigenvalues
             assert len(calls) - 2 > 1 + 2
@@ -465,21 +464,21 @@ class TestEigendecompose:
                 lam,
                 pivmin,
             )
-            for column, (a, b2) in enumerate([(diag, off2), (diag[::-1], off2[::-1])]):
-                separate = jacobi._pivots(a[:, None], b2[:, None], lam, pivmin)
-                assert np.array_equal(stacked[:, column], separate)
+            forward = jacobi._pivots(diag[:, None], off2[:, None], lam, pivmin)
+            backward = jacobi._pivots(diag[::-1, None], off2[::-1, None], lam, pivmin)
+            assert np.array_equal(stacked[:, 0], forward)
+            assert np.array_equal(stacked[:, 1], backward)
 
     @pytest.mark.parametrize("N", [2, 4, 40])
     def test_zero_shift_on_zero_diagonal_is_guarded(self, N):
         # a shift of exactly 0 on a Krawtchouk chain makes the first pivot
         # 0, and the guard then leaves -pivmin where the reference does
         J = krawtchouk_chain(N)
+        off2, pivmin = J.offdiag**2, sturm_pivmin(J)
         shifts = np.array([-0.5, 0.0, 0.5])
-        args = (J.offdiag**2, shifts, sturm_pivmin(J))
-        pivots = jacobi._pivots(J.diag[:, None], args[0][:, None], *args[1:])
-        reference = five_sweep_pivots(J.diag, *args)
-        assert np.array_equal(pivots, reference)
-        guarded = pivots == -sturm_pivmin(J)
+        pivots = jacobi._pivots(J.diag[:, None], off2[:, None], shifts, pivmin)
+        assert np.array_equal(pivots, five_sweep_pivots(J.diag, off2, shifts, pivmin))
+        guarded = pivots == -pivmin
         assert guarded[0, 1] and not guarded[:, [0, 2]].any()
 
     @pytest.mark.parametrize(
