@@ -9,6 +9,7 @@ it at which the boundary-return amplitude vanishes (early state exclusion).
 from .errors import (
     ChainError,
     EigensolverError,
+    GridBudgetError,
     PstUndecidableError,
     ReconstructionError,
 )
@@ -56,6 +57,7 @@ __all__ = [
     "EigensolverError",
     "EseReport",
     "EseZero",
+    "GridBudgetError",
     "JacobiMatrix",
     "PersymmetryReport",
     "PstCertificate",

@@ -22,12 +22,13 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .dynamics import EseReport, PstCertificate, detect_ese, detect_pst
+from .dynamics import _PST_TOL, EseReport, PstCertificate, detect_ese, detect_pst
 from .emit import amplitude_svg, csv_text, dumps
 from .errors import ChainError
 from .families import gap_family_spectrum, krawtchouk_chain, surgery_spectrum
 from .inverse import SpectrumRequest, persymmetric_weights, reconstruct_jacobi
 from .jacobi import (
+    MAX_SITES,
     JacobiMatrix,
     SpectralData,
     amplitude_series,
@@ -103,9 +104,15 @@ def _spectrum_file(args: argparse.Namespace) -> SpectrumRequest:
     return SpectrumRequest(doc)
 
 
+def _krawtchouk_spectrum(args: argparse.Namespace) -> SpectrumRequest:
+    # the site cap comes first: np.arange would allocate N + 1 values
+    _require(args.N < MAX_SITES, f"N must be at most {MAX_SITES - 1}")
+    return SpectrumRequest(np.arange(args.N + 1) - args.N / 2.0)
+
+
 # kind -> (argparse dests it needs, spectrum factory)
 _CONSTRUCT_KINDS = {
-    "krawtchouk": (("N",), lambda a: SpectrumRequest(np.arange(a.N + 1) - a.N / 2.0)),
+    "krawtchouk": (("N",), _krawtchouk_spectrum),
     "gap-family": (("n", "m"), lambda a: gap_family_spectrum(a.n, a.m)),
     "surgery": (("N",), lambda a: surgery_spectrum(a.N)),
     "example-4x4": ((), lambda a: surgery_spectrum(3)),
@@ -135,7 +142,7 @@ def cmd_construct(args: argparse.Namespace) -> str:
         "spectrum": sd.eigenvalues,
         "weights": sd.weights,
         "matrix": {"diag": chain.diag, "offdiag": chain.offdiag},
-        "persymmetry": asdict(check_persymmetry(chain, 1e-12)),
+        "persymmetry": asdict(check_persymmetry(chain)),
         "pst": _certificate_dict(cert),
     }
     return dumps(document)
@@ -219,13 +226,13 @@ def build_parser() -> argparse.ArgumentParser:
     construct.add_argument("--m", type=int, default=None, help="gap-family middle gap index")
     construct.add_argument("--in", dest="input", default=None, help="spectrum file (JSON array)")
     construct.add_argument("--out", required=True, help="output JSON path")
-    construct.add_argument("--tol", type=float, default=1e-8, help="transfer gap tolerance")
+    construct.add_argument("--tol", type=float, default=_PST_TOL, help="transfer gap tolerance")
     construct.set_defaults(func=cmd_construct)
 
     analyze = sub.add_parser("analyze", help="transfer and exclusion analysis")
     analyze.add_argument("--in", dest="input", required=True)
     analyze.add_argument("--out", required=True)
-    analyze.add_argument("--tol", type=float, default=1e-8)
+    analyze.add_argument("--tol", type=float, default=_PST_TOL)
     analyze.set_defaults(func=cmd_analyze)
 
     evolve = sub.add_parser("evolve", help="export boundary amplitude series")
@@ -241,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     plot.add_argument("--in", dest="input", required=True)
     plot.add_argument("--t0", type=float, required=True)
     plot.add_argument("--t1", type=float, required=True)
-    plot.add_argument("--tol", type=float, default=1e-8)
+    plot.add_argument("--tol", type=float, default=_PST_TOL)
     plot.add_argument("--out", required=True)
     plot.set_defaults(func=cmd_plot)
     return parser

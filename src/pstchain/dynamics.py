@@ -43,6 +43,10 @@ from .jacobi import (
 # Largest odd-integer index admitted in the transfer-time search.
 _ODD_CAP = 10_000
 
+# Relative gap tolerance of the transfer-time search: default and loosest.
+_PST_TOL = 1e-8
+_PST_TOL_CAP = 1e-4
+
 # Transfer-time candidates tested together: the first block, and the cap on
 # every later block, which grows 4-fold from the first.
 _PST_FIRST_BLOCK = 8
@@ -93,7 +97,7 @@ class PstCertificate:
             math.pi / self.transfer_time
         )
         # Sanity bound at the loosest detection tolerance.
-        if np.any(np.abs(gaps - target) > 1e-4 * gaps):
+        if np.any(np.abs(gaps - target) > _PST_TOL_CAP * gaps):
             raise ValueError("gap structure inconsistent with the certificate")
 
 
@@ -113,10 +117,9 @@ class EseReport:
     ``unresolved`` lists, where they stopped, the Newton iterates of refined
     minima that did not settle; ``early_pst_anomalies`` lists zeros excluded
     because the far boundary was numerically saturated there (which would
-    contradict an earliest-transfer certificate).  The search counters satisfy
-    ``candidates == noise_floor_rejections + refined``: every interior
-    minimum of the scan is either dropped because its neighboring grid
-    values lie below the cancellation floor, or refined.
+    contradict an earliest-transfer certificate).  ``refined`` counts the
+    interior minima of the scan that were refined, those whose neighboring
+    grid values do not both lie below the cancellation floor.
     """
 
     zeros: tuple[EseZero, ...]
@@ -124,8 +127,6 @@ class EseReport:
     early_pst_anomalies: tuple[float, ...]
     scan_resolution: float
     tolerance: float
-    candidates: int = 0
-    noise_floor_rejections: int = 0
     refined: int = 0
 
     def __post_init__(self):
@@ -136,7 +137,7 @@ class EseReport:
                 raise ValueError("listed zeros must not saturate the far boundary")
 
 
-def detect_pst(req: SpectrumRequest, tol: float = 1e-8) -> PstCertificate:
+def detect_pst(req: SpectrumRequest, tol: float = _PST_TOL) -> PstCertificate:
     """Decide perfect state transfer and find the earliest transfer time.
 
     Candidate gap quanta are delta = g_min/(2j+1), scanned from j = 0
@@ -155,8 +156,8 @@ def detect_pst(req: SpectrumRequest, tol: float = 1e-8) -> PstCertificate:
     one small block, the longest scan (about 10^4 candidates) about a dozen
     blocks, and memory stays O(``_PST_MAX_BLOCK`` x sites).
     """
-    if not 0.0 < tol <= 1e-4:
-        raise ValueError("tol must lie in (0, 1e-4]")
+    if not 0.0 < tol <= _PST_TOL_CAP:
+        raise ValueError(f"tol must lie in (0, {_PST_TOL_CAP:g}]")
     lam = req.eigenvalues
     spectrum = tuple(lam.tolist())
     gaps = np.diff(lam)
@@ -239,8 +240,8 @@ def _scan(sd: SpectralData, lo: float, hi: float) -> tuple[np.ndarray, np.ndarra
     span = float(sd.eigenvalues[-1] - sd.eigenvalues[0])
     step = min(hi - lo, 2.0 * math.pi / span) / _SCAN_DIVISIONS
     npts = max(int(math.ceil((hi - lo) / step)) + 1, 16)
-    f2 = np.abs(_grid_sum(sd, lo, hi, npts, sd.weights)) ** 2
-    return np.linspace(lo, hi, npts), f2
+    times, values = _grid_sum(sd, lo, hi, npts, sd.weights)
+    return times, np.abs(values) ** 2
 
 
 def detect_ese(sd: SpectralData, cert: PstCertificate) -> EseReport:
@@ -296,8 +297,6 @@ def detect_ese(sd: SpectralData, cert: PstCertificate) -> EseReport:
         early_pst_anomalies=tuple(float(t) for t in t_zero[saturated]),
         scan_resolution=resolution,
         tolerance=_ZERO_RESIDUAL_TOL,
-        candidates=int(minima.size),
-        noise_floor_rejections=int(minima.size - kept.size),
         refined=int(kept.size),
     )
 

@@ -21,11 +21,7 @@ class EigensolverError(ChainError):
 
 
 class ReconstructionError(ChainError):
-    """Inverse reconstruction broke down.  ``step`` names the recursion step."""
-
-    def __init__(self, message: str, step: int | None = None):
-        super().__init__(message)
-        self.step = step
+    """Inverse reconstruction broke down."""
 
 
 class PstUndecidableError(ChainError):
@@ -33,3 +29,7 @@ class PstUndecidableError(ChainError):
     candidate could be tested, so the spectrum is undecidable at the
     requested tolerance."""
 
+
+class GridBudgetError(ChainError):
+    """A uniform time grid needs more points than the work budget allows, so
+    it is refused before any of it is allocated."""

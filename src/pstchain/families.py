@@ -43,6 +43,8 @@ def gap_family_spectrum(n: int, m: int) -> SpectrumRequest:
         raise ValueError("n must be an integer >= 2")
     if m < 1:
         raise ValueError("m must be a positive integer")
+    if 2 * n > MAX_SITES:
+        raise ValueError(f"spectrum size must be at most {MAX_SITES}, got {2 * n}")
     upper = (2.0 * m + 2.0 * np.arange(n) + 1.0) / 2.0
     return SpectrumRequest(np.concatenate([-upper[::-1], upper]))
 
@@ -50,13 +52,12 @@ def gap_family_spectrum(n: int, m: int) -> SpectrumRequest:
 def surgery_spectrum(N: int) -> SpectrumRequest:
     """Unit-gap symmetric spectrum of size N+3 with the innermost pair removed.
 
-    Returns {+-(2k+1)/2 : k = 1..(N+1)/2}, i.e. N+1 points.  N must be odd
-    and at least 3.
+    Returns {+-(2k+1)/2 : k = 1..(N+1)/2}, i.e. N+1 points: the gap family
+    with n = (N+1)/2 and m = 1.  N must be odd and at least 3.
     """
     if N < 3 or N % 2 == 0:
         raise ValueError("N must be an odd integer >= 3")
-    upper = [(2 * k + 1) / 2 for k in range(1, (N + 1) // 2 + 1)]
-    return SpectrumRequest([-v for v in reversed(upper)] + upper)
+    return gap_family_spectrum((N + 1) // 2, 1)
 
 
 def closed_form_krawtchouk_x0(N: int, t):

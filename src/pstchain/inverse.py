@@ -92,8 +92,7 @@ def reconstruct_jacobi(sd: SpectralData) -> JacobiMatrix:
             if not norm > _BREAKDOWN_RTOL:
                 raise ReconstructionError(
                     f"orthogonalization broke down at step {k}: residual norm "
-                    f"{norm:.3e} of the half-span",
-                    step=k,
+                    f"{norm:.3e} of the half-span"
                 )
             off[k] = norm
             q = u / norm

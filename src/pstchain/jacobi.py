@@ -53,7 +53,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import EigensolverError
+from .errors import EigensolverError, GridBudgetError
 
 # Weight hierarchies grow roughly factorially with size; 64-bit floats can
 # absorb that (after normalization) only up to about 41 sites.
@@ -74,6 +74,11 @@ _BISECT_MAX_ITER = 32
 
 # Cancellation floor of a spectral sum per unit of total coefficient modulus.
 _NOISE_CLEARANCE = 1e-12
+
+# Work budget of one uniform grid (the ESE scan or a series): 2^20 points,
+# about 93 MB at the peak of a 41-site series.  The largest ESE scan of a
+# named family, gap family (20, 30), has 12,673 points.
+_MAX_GRID_POINTS = 1 << 20
 
 
 def _readonly(values, dtype=float) -> np.ndarray:
@@ -470,15 +475,21 @@ def _spectral_sum(sd: SpectralData, times, coefficients) -> np.ndarray:
 
 def _grid_sum(
     sd: SpectralData, t0: float, t1: float, n: int, coefficients
-) -> np.ndarray:
-    """``_spectral_sum`` on the uniform grid ``np.linspace(t0, t1, n)``, n >= 2.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The grid ``np.linspace(t0, t1, n)``, n >= 2, and ``_spectral_sum`` on it.
 
     With step h, B = ceil(sqrt(n)) and j = B q + r, the centred phase factors
     as exp(-i mu t_j) = exp(-i mu (t0 + B q h)) exp(-i mu r h), so the n sums
     are one (Q x S)(S x B) matrix product over (Q + B) S exponentials in
     place of n S.  The factors round differently from exp(-i mu t_j) only by
-    about eps |mu| t.  exp(-i c t) is applied once, on the grid itself.
+    about eps |mu| t.  exp(-i c t) is applied once, on the grid itself.  More
+    than ``_MAX_GRID_POINTS`` points raise :class:`GridBudgetError` before
+    anything is allocated.
     """
+    if n > _MAX_GRID_POINTS:
+        raise GridBudgetError(
+            f"a grid of {n} points exceeds the budget of {_MAX_GRID_POINTS}"
+        )
     times, step = np.linspace(t0, t1, n, retstep=True)
     c, lam = sd._centred
     block = math.isqrt(n - 1) + 1
@@ -492,7 +503,7 @@ def _grid_sum(
     values = values.reshape((rows * block,) + coefficients.shape[1:])[:n]
     if c:
         values = (values.T * np.exp(-1j * c * times)).T
-    return values
+    return times, values
 
 
 def amplitude_values(sd: SpectralData, times, site: Site = "first") -> np.ndarray:
@@ -530,7 +541,8 @@ def amplitude_series(
     on both the grid's times and its span; otherwise ValueError names the
     range.  The bound is conservative: it may reject a range whose grid
     phases are all finite, since only a two-step grid has the whole span
-    as one step.
+    as one step.  More than ``_MAX_GRID_POINTS`` steps raise
+    :class:`GridBudgetError`.
     """
     if not t0 < t1:
         raise ValueError("need t0 < t1")
@@ -543,13 +555,11 @@ def amplitude_series(
         [_boundary_coefficients(sd, "first"), _boundary_coefficients(sd, "last")],
         axis=1,
     )
-    values = _grid_sum(sd, t0, t1, steps, coefficients)
+    times, values = _grid_sum(sd, t0, t1, steps, coefficients)
     floor = _NOISE_CLEARANCE * np.abs(coefficients).sum(axis=0)
     for part in (values.real, values.imag):
         part[np.abs(part) <= floor] = 0.0
-    return AmplitudeSeries(
-        times=np.linspace(t0, t1, steps), x0=values[:, 0], xN=values[:, 1]
-    )
+    return AmplitudeSeries(times=times, x0=values[:, 0], xN=values[:, 1])
 
 
 def full_evolution_column(J: JacobiMatrix, t: float) -> np.ndarray:

@@ -16,3 +16,13 @@ def test_all_lists_exactly_the_public_names_and_each_resolves():
     namespace: dict = {}
     exec("from pstchain import *", namespace)  # fails on a name that does not resolve
     assert set(namespace) - {"__builtins__"} == public
+
+
+def test_numerical_failures_share_one_base():
+    for name in (
+        "EigensolverError",
+        "GridBudgetError",
+        "PstUndecidableError",
+        "ReconstructionError",
+    ):
+        assert issubclass(getattr(pstchain, name), pstchain.ChainError)

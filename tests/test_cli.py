@@ -13,6 +13,7 @@ import math
 import os
 import sys
 import tempfile
+import tracemalloc
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -454,6 +455,41 @@ class TestExitCodes:
             ["construct", "from-spectrum", "--in", str(spectrum), "--out", str(out)]
         ) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_scan_over_the_grid_budget_is_numerical_failure(self, tmp_path, capsys):
+        # PST at T0 = pi over a span of 780,040: a 99,844,922-point scan
+        spectrum = tmp_path / "s.json"
+        spectrum.write_text(json.dumps([0.0] + [1.0 + 20001.0 * k for k in range(40)]))
+        report = tmp_path / "report.json"
+        assert main(["analyze", "--in", str(spectrum), "--out", str(report)]) == 3
+        assert "exceeds the budget of 1048576" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_series_over_the_grid_budget_is_numerical_failure(self, tmp_path):
+        wire, series = tmp_path / "wire.json", tmp_path / "series.csv"
+        main(["construct", "example-4x4", "--out", str(wire)])
+        assert main(
+            ["evolve", "--in", str(wire), "--t0", "0", "--t1", "1",
+             "--steps", str(2**20 + 1), "--out", str(series)]
+        ) == 3
+        assert not series.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["krawtchouk", "--N", "1000000000"],
+        ["gap-family", "--n", "1000000000", "--m", "1"],
+        ["surgery", "--N", "1000000001"],
+    ], ids=["krawtchouk", "gap-family", "surgery"])
+    def test_oversized_family_is_rejected_before_allocating(self, tmp_path, args):
+        out = tmp_path / "doc.json"
+        tracemalloc.start()
+        try:
+            code = main(["construct", *args, "--out", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 1 << 20
+        assert not out.exists()
 
     def test_unparseable_spectrum_file(self, tmp_path):
         bad = tmp_path / "bad.json"

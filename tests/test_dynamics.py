@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pstchain.dynamics as dynamics
 from pstchain import (
     EseReport,
     EseZero,
+    GridBudgetError,
     JacobiMatrix,
     PstCertificate,
     PstUndecidableError,
@@ -52,6 +54,14 @@ SHIFTED_SPECTRA = {
     "gap-10-5": gap_family_spectrum(10, 5),
     "gap-20-9": gap_family_spectrum(20, 9),
 }
+
+
+def scan_minima(sd, cert):
+    """|x_0|^2 on detect_ese's scan and the indices of its interior minima."""
+    eps = 1e-6 * cert.transfer_time
+    _, f2 = dynamics._scan(sd, eps, cert.transfer_time - eps)
+    minima = np.nonzero((f2[1:-1] <= f2[:-2]) & (f2[1:-1] <= f2[2:]))[0] + 1
+    return f2, minima
 
 
 def four_site_data():
@@ -238,6 +248,22 @@ class TestDetectPst:
 
 
 class TestDetectEse:
+    def test_scan_over_the_grid_budget_raises_before_allocating(self):
+        # one unit gap, then 39 gaps of 20,001 = 2 * 10^4 + 1: PST at
+        # T0 = pi, but the span of 780,040 asks for a scan of 99,844,922
+        # points, about 4 GB
+        req = SpectrumRequest(np.concatenate([[0.0], 1.0 + 20001.0 * np.arange(40)]))
+        sd, cert = persymmetric_weights(req), detect_pst(req)
+        assert cert.transfer_time == math.pi
+        tracemalloc.start()
+        try:
+            with pytest.raises(GridBudgetError, match="grid of 99844922 points"):
+                detect_ese(sd, cert)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_four_site_example(self):
         req, sd = four_site_data()
         cert = detect_pst(req)
@@ -357,7 +383,6 @@ class TestDetectEse:
     )
     def test_search_counters_partition_candidates(self, req):
         report = detect_ese(persymmetric_weights(req), detect_pst(req))
-        assert report.candidates == report.noise_floor_rejections + report.refined
         assert report.refined >= len(report.zeros) > 0
 
     def test_amplitude_evaluations_do_not_grow_with_candidates(self, monkeypatch):
@@ -368,6 +393,7 @@ class TestDetectEse:
         # checks send points through the spectral sum
         req = gap_family_spectrum(20, 9)
         sd, cert = persymmetric_weights(req), detect_pst(req)
+        assert scan_minima(sd, cert)[1].size > 64
         points = []
         spectral_sum = dynamics._spectral_sum
 
@@ -378,7 +404,6 @@ class TestDetectEse:
         monkeypatch.setattr(dynamics, "_spectral_sum", counted)
         report = detect_ese(sd, cert)
         assert len(report.zeros) == 9
-        assert report.candidates > 64
         assert len(points) <= dynamics._REFINE_MAX_ITER + 2
         scan_points = round((1 - 2e-6) * cert.transfer_time / report.scan_resolution) + 1
         assert scan_points == 7297
@@ -388,9 +413,12 @@ class TestDetectEse:
         # every interior minimum of the 41-site equidistant chain lies on the
         # cancellation plateau near T0
         req = SpectrumRequest(np.arange(41.0) - 20.0)
-        report = detect_ese(persymmetric_weights(req), detect_pst(req))
-        assert report.candidates > 0
-        assert report.noise_floor_rejections == report.candidates
+        sd, cert = persymmetric_weights(req), detect_pst(req)
+        f2, minima = scan_minima(sd, cert)
+        edge = np.sqrt(np.maximum(f2[minima - 1], f2[minima + 1]))
+        assert minima.size > 0
+        assert np.all(edge < dynamics._NOISE_CLEARANCE)
+        report = detect_ese(sd, cert)
         assert report.refined == 0
         assert report.zeros == ()
 

@@ -11,6 +11,7 @@ from scipy.linalg import eigh_tridiagonal
 from pstchain import (
     AmplitudeSeries,
     EigensolverError,
+    GridBudgetError,
     JacobiMatrix,
     SpectralData,
     SpectrumRequest,
@@ -651,7 +652,8 @@ class TestGridSum:
         ):
             mu = data._centred[1]
             expected = jacobi._spectral_sum(data, times, coefficients)
-            got = jacobi._grid_sum(data, t0, t1, n, coefficients)
+            grid, got = jacobi._grid_sum(data, t0, t1, n, coefficients)
+            assert np.array_equal(grid, np.linspace(t0, t1, n))
             assert got.shape == expected.shape
             bound = (
                 64 * np.finfo(float).eps * np.abs(coefficients).sum(axis=0)
@@ -695,6 +697,13 @@ class TestAmplitudeSeries:
         finally:
             tracemalloc.stop()
         assert peak <= 256 * steps
+
+    def test_rejects_grid_over_the_budget(self, monkeypatch):
+        monkeypatch.setattr(jacobi, "_MAX_GRID_POINTS", 64)
+        sd = eigendecompose(four_site_example())
+        assert amplitude_series(sd, 0.0, math.pi, 64).times.size == 64
+        with pytest.raises(GridBudgetError, match="grid of 65 points"):
+            amplitude_series(sd, 0.0, math.pi, 65)
 
     def test_round_off_below_the_floor_is_zero(self):
         # gap (2, 1) is symmetric about 0, so x_0 is real: its imaginary
