@@ -5,7 +5,9 @@ b_k = sqrt((k+1)(N-k))/2, eigenvalues s - N/2 and boundary amplitude
 cos^N(t/2).  Gap-family spectra are symmetric with unit gaps except an odd
 middle gap 2m+1; their boundary amplitude is a short Chebyshev series in
 cos(t/2), a ``numpy.polynomial.Chebyshev``, which is where the sign-change
-counting lives.
+counting lives.  The count samples the series on an exactly antisymmetric
+grid of 8192 points and evaluates its even and odd parts separately, each
+as a series in T_2 on the positive half of the grid.
 """
 
 from __future__ import annotations
@@ -107,18 +109,68 @@ def amplitude_as_chebyshev(sd: SpectralData) -> np.polynomial.Chebyshev:
     return np.polynomial.Chebyshev(coef)
 
 
+def _clenshaw(coef, x: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """sum_i coef[i] P_i(x), with P_0 = 1, P_1 = ``first``, P_i+1 = 2x P_i - P_i-1.
+
+    One Clenshaw recurrence in place, b_i = coef[i] + 2x b_i+1 - b_i+2,
+    ending in coef[0] + first b_1 - b_2.
+    """
+    two_x = 2.0 * x
+    b1, b2, tmp = np.zeros_like(x), np.zeros_like(x), np.empty_like(x)
+    for a in coef[:0:-1]:
+        np.multiply(two_x, b1, out=tmp)
+        np.subtract(tmp, b2, out=b2)
+        if a:
+            b2 += a
+        b1, b2 = b2, b1
+    np.multiply(first, b1, out=tmp)
+    tmp -= b2
+    tmp += coef[0]
+    return tmp
+
+
+def _grid_values(coef: np.ndarray) -> np.ndarray:
+    """sum_j coef[j] T_j at the 8192 samples +-(2k+1)/8193, in ascending order.
+
+    With x = T_2(y) the series splits into c(y) = E(x) + y O(x): the even
+    degrees give E = sum A_2i T_i and the odd ones O = sum A_2i+1 V_i, since
+    T_2i+1(y) = y V_i(x) with V the Chebyshev polynomials of the third kind.
+    Each nonzero part takes one Clenshaw recurrence of half the degree on
+    the 4096 positive samples, and c(-y) = E(x) - y O(x) gives the rest.
+    """
+    y = np.arange(1.0, 8193.0, 2.0) / 8193.0
+    x = 2.0 * y * y - 1.0
+    even, odd = coef[::2], coef[1::2]
+    half = _clenshaw(even, x, x) if np.any(even) else np.zeros_like(y)
+    values = np.concatenate([half[::-1], half])
+    if np.any(odd):
+        half = y * _clenshaw(odd, x, 2.0 * x - 1.0)
+        values[: y.size] -= half[::-1]
+        values[y.size :] += half
+    return values
+
+
 def count_sign_changes(c: np.polynomial.Chebyshev) -> int:
     """Sign changes of the series over 8192 uniform samples inside (-1, 1).
 
-    Endpoints are excluded exactly.  Samples at or below the cancellation
-    floor, the noise clearance times the sum of |A_j| in ascending degree,
-    are dropped, since round-off decides their sign; the count covers the
-    samples above it.  Zeros of even multiplicity, or closer together than
-    the grid step, do not show.
+    The samples are +-(2k+1)/8193 for k = 0..4095, exactly antisymmetric,
+    so the endpoints are excluded exactly.  The series is evaluated by its
+    even and odd parts, each a recurrence of half the degree on the
+    positive half of the grid.  A series on another domain or window, or
+    in another basis, is converted first, so the same function is sampled.
+
+    Samples at or below the cancellation floor, the noise clearance times
+    the sum of |A_j| in ascending degree, are dropped, since round-off
+    decides their sign; the count covers the samples above it.  Zeros of
+    even multiplicity, or closer together than the grid step, do not show.
     """
-    grid = np.linspace(-1.0, 1.0, 8194)[1:-1]
-    values = c(grid)
     floor = _NOISE_CLEARANCE * sum(abs(a) for a in c.coef.tolist())
+    chebyshev = np.polynomial.Chebyshev
+    if isinstance(c, chebyshev) and np.array_equal(c.domain, c.window):
+        coef = c.coef
+    else:
+        coef = c.convert(kind=chebyshev).coef
+    values = _grid_values(coef)
     signs = np.sign(values[np.abs(values) > floor])
     if signs.size < 2:
         return 0

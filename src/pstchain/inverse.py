@@ -14,7 +14,9 @@ overflows, no shift costs digits, and its tolerances are plain constants.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,29 +34,42 @@ _SYMMETRIZE_LIMIT = 1e-6
 
 @dataclass(frozen=True)
 class SpectrumRequest:
-    """A prescribed simple spectrum for the inverse problem."""
+    """A prescribed simple spectrum for the inverse problem.
+
+    Its persymmetric spectral data is computed once per instance, on the
+    first ``persymmetric_weights`` call, and kept on the instance.
+    """
 
     eigenvalues: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "eigenvalues", _spectrum(self.eigenvalues))
 
+    @cached_property
+    def _persymmetric(self) -> SpectralData:
+        # The instance and its array are immutable, so the weights serve
+        # every later query; the cache lives and dies with the instance.
+        # The products prod_{k!=s}(l_s - l_k) span a roughly factorial
+        # dynamic range, so they are accumulated in log space and
+        # exponentiated only after normalization.
+        lam = self.eigenvalues
+        diffs = lam[:, None] - lam[None, :]
+        np.fill_diagonal(diffs, 1.0)
+        logw = -np.sum(np.log(np.abs(diffs)), axis=1)
+        logw -= logw.max()
+        w = np.exp(logw)
+        w /= w.sum()
+        return SpectralData(eigenvalues=lam, weights=w)
+
 
 def persymmetric_weights(req: SpectrumRequest) -> SpectralData:
     """Weights of the unique persymmetric wire with the requested spectrum.
 
-    The products prod_{k!=s}(l_s - l_k) span a roughly factorial dynamic
-    range, so they are accumulated in log space and exponentiated only
-    after normalization.
+    The weights are computed once per request and kept on it, so later
+    calls on the same request, ``detect_pst``'s among them, return the same
+    object.  Weights lost to underflow raise ValueError on every call.
     """
-    lam = req.eigenvalues
-    diffs = lam[:, None] - lam[None, :]
-    np.fill_diagonal(diffs, 1.0)
-    logw = -np.sum(np.log(np.abs(diffs)), axis=1)
-    logw -= logw.max()
-    w = np.exp(logw)
-    w /= w.sum()
-    return SpectralData(eigenvalues=lam, weights=w)
+    return req._persymmetric
 
 
 def reconstruct_jacobi(sd: SpectralData) -> JacobiMatrix:
@@ -76,26 +91,26 @@ def reconstruct_jacobi(sd: SpectralData) -> JacobiMatrix:
     off = np.zeros(n - 1)
     basis = np.zeros((n, n))
     q = np.sqrt(sd.weights)
-    q /= np.linalg.norm(q)
+    q /= math.sqrt(q @ q)
     for k in range(n):
         basis[:, k] = q
         u = lam * q
         diag[k] = float(q @ u)
         u = u - diag[k] * q
         if k:
-            u -= off[k - 1] * basis[:, k - 1]
+            u -= off[k - 1] * prev
         span = basis[:, : k + 1]
         for _ in range(2):
             u -= span @ (span.T @ u)
         if k < n - 1:
-            norm = float(np.linalg.norm(u))
+            norm = math.sqrt(u @ u)
             if not norm > _BREAKDOWN_RTOL:
                 raise ReconstructionError(
                     f"orthogonalization broke down at step {k}: residual norm "
                     f"{norm:.3e} of the half-span"
                 )
             off[k] = norm
-            q = u / norm
+            prev, q = q, u / norm
     asym = float(np.abs(off - off[::-1]).max())
     if asym >= _SYMMETRIZE_LIMIT:
         raise ReconstructionError(

@@ -42,6 +42,9 @@ ESE search and the sign-change count both drop such values, and
 A wire is solved once per ``JacobiMatrix`` instance: the spectral data and
 the read-only eigenvector matrix are kept on the instance on first use and
 shared by ``eigendecompose`` and every ``full_evolution_column`` call.
+Likewise a ``SpectralData`` keeps, on first use, the frame's midpoint c with
+the centred spectrum lambda - c, and the alternating-sign x_N coefficients,
+which the transfer phase, the ESE search and every series share.
 """
 
 from __future__ import annotations
@@ -186,6 +189,16 @@ class SpectralData:
         # the frame's midpoint c and lambda - c, shared by every evaluation
         c, _ = _frame(self.eigenvalues)
         return c, self.eigenvalues - c
+
+    @cached_property
+    def _last(self) -> np.ndarray:
+        # x_N's coefficients, for persymmetric wires only: the last
+        # eigenvector component equals (-1)^(N+s) times the first one
+        s = np.arange(self.n_sites)
+        signs = np.where((self.n_sites - 1 + s) % 2 == 0, 1.0, -1.0)
+        last = signs * self.weights
+        last.setflags(write=False)
+        return last
 
 
 @dataclass(frozen=True)
@@ -429,11 +442,7 @@ def _boundary_coefficients(sd: SpectralData, site: Site) -> np.ndarray:
     if site == "first":
         return sd.weights
     if site == "last":
-        # Valid for persymmetric wires only: the last eigenvector component
-        # equals (-1)^(N+s) times the first one.
-        s = np.arange(sd.n_sites)
-        signs = np.where((sd.n_sites - 1 + s) % 2 == 0, 1.0, -1.0)
-        return signs * sd.weights
+        return sd._last
     raise ValueError("site must be 'first' or 'last'")
 
 
@@ -556,9 +565,11 @@ def amplitude_series(
         axis=1,
     )
     times, values = _grid_sum(sd, t0, t1, steps, coefficients)
+    values = np.ascontiguousarray(values)
     floor = _NOISE_CLEARANCE * np.abs(coefficients).sum(axis=0)
-    for part in (values.real, values.imag):
-        part[np.abs(part) <= floor] = 0.0
+    # each row of parts is Re x_0, Im x_0, Re x_N, Im x_N
+    parts = values.view(float)
+    parts[np.abs(parts) <= np.repeat(floor, 2)] = 0.0
     return AmplitudeSeries(times=times, x0=values[:, 0], xN=values[:, 1])
 
 

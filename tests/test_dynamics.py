@@ -246,6 +246,17 @@ class TestDetectPst:
         with pytest.raises(ValueError, match="tol"):
             detect_pst(req, tol=0.0)
 
+    def test_phase_reuses_the_request_weights_bit_for_bit(self):
+        for case in GOLDEN_CASES:
+            req = golden_request(case)
+            sd = persymmetric_weights(req)
+            cert = detect_pst(req)
+            assert persymmetric_weights(req) is sd
+            fresh = persymmetric_weights(SpectrumRequest(req.eigenvalues))
+            expected = amplitude(fresh, "last", cert.transfer_time)
+            assert cert.phase.real == expected.real, golden_id(case)
+            assert cert.phase.imag == expected.imag, golden_id(case)
+
 
 class TestDetectEse:
     def test_scan_over_the_grid_budget_raises_before_allocating(self):

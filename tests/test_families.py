@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from pstchain import (
     reconstruct_jacobi,
     surgery_spectrum,
 )
+from pstchain import families
 
 GOLDEN_ESE = Path(__file__).parent / "golden" / "ese_named_families.json"
 GOLDEN_SIGN_CHANGES = Path(__file__).parent / "golden" / "sign_changes.json"
@@ -323,7 +325,76 @@ class TestAmplitudeAsChebyshev:
             amplitude_as_chebyshev(sd)
 
 
+def linspace_sign_changes(c: np.polynomial.Chebyshev) -> int:
+    """Reference count: numpy's evaluation at np.linspace(-1, 1, 8194)[1:-1].
+
+    The same floor and counting rule as ``count_sign_changes``, on the
+    linspace samples and numpy's full-degree Clenshaw recurrence.
+    """
+    values = c(np.linspace(-1.0, 1.0, 8194)[1:-1])
+    floor = 1e-12 * sum(abs(a) for a in c.coef.tolist())
+    signs = np.sign(values[np.abs(values) > floor])
+    if signs.size < 2:
+        return 0
+    return int(np.count_nonzero(signs[1:] != signs[:-1]))
+
+
+def seeded_series(count=500, seed=18):
+    """Series of degree 1..81, in turn even-only, odd-only and mixed parity."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        degree = int(rng.integers(1, 82))
+        if i % 3 == 0:
+            degree = max(2, degree - degree % 2)
+        elif i % 3 == 1:
+            degree -= 1 - degree % 2
+        coef = rng.standard_normal(degree + 1)
+        coef[: int(rng.integers(0, degree + 1))] = 0.0
+        if i % 3 < 2:
+            coef[1 - i % 3 :: 2] = 0.0
+        yield np.polynomial.Chebyshev(coef)
+
+
 class TestCountSignChanges:
+    def test_grid_is_exactly_antisymmetric(self):
+        # the identity series T_1 evaluates to the sample points themselves
+        grid = families._grid_values(np.array([0.0, 1.0]))
+        assert grid.size == 8192
+        assert np.array_equal(grid, -grid[::-1])
+        assert np.all(np.diff(grid) > 0.0) and -1.0 < grid[0]
+        exact = [float(Fraction(2 * k + 1, 8193)) for k in range(4096)]
+        assert np.array_equal(grid[4096:], exact)
+        # the nominal points of linspace, which rounds 5,119 of them off
+        linspace = np.linspace(-1.0, 1.0, 8194)[1:-1]
+        np.testing.assert_array_max_ulp(grid, linspace, maxulp=2)
+        assert np.count_nonzero(grid != linspace) == 5119
+
+    def test_matches_linspace_evaluation_on_seeded_series(self):
+        series = list(seeded_series())
+        parities = {
+            (bool(c.coef[::2].any()), bool(c.coef[1::2].any())) for c in series
+        }
+        assert parities == {(True, False), (False, True), (True, True)}
+        assert {c.degree() for c in series} >= {1, 81}
+        wrong = [
+            (c.coef.tolist(), count_sign_changes(c), linspace_sign_changes(c))
+            for c in series
+            if count_sign_changes(c) != linspace_sign_changes(c)
+        ]
+        assert not wrong, wrong
+
+    def test_other_domain_or_basis_samples_the_same_function(self):
+        c = np.polynomial.Chebyshev([0.1, -0.3, 0.5, 0.2, -0.7], domain=[0.0, 2.0])
+        assert count_sign_changes(c) == linspace_sign_changes(c) == 2
+        assert count_sign_changes(c) == count_sign_changes(c.convert())
+        # x^2 + 0.3 has no real root, while T_2 + 0.3 has two
+        power = np.polynomial.Polynomial([0.3, 0.0, 1.0])
+        assert count_sign_changes(power) == linspace_sign_changes(power) == 0
+
+    def test_zero_and_constant_series(self):
+        assert count_sign_changes(np.polynomial.Chebyshev([0.0])) == 0
+        assert count_sign_changes(np.polynomial.Chebyshev([-2.0])) == 0
+
     def test_single_first_degree(self):
         assert count_sign_changes(np.polynomial.Chebyshev.basis(1)) == 1
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pstchain import (
+    ReconstructionError,
     SpectrumRequest,
     amplitude_values,
     check_persymmetry,
@@ -16,6 +17,7 @@ from pstchain import (
     reconstruct_jacobi,
     surgery_spectrum,
 )
+from pstchain.jacobi import _frame
 
 
 def symmetric_spectrum(rng, npts):
@@ -48,6 +50,61 @@ def oracle_weights(lam):
                 prod *= lam[s] - lam[k]
         raw[s] = (-1.0) ** (n - 1 + s) / prod
     return raw / raw.sum()
+
+
+def named_spectra():
+    """The 230 named spectra: Krawtchouk N = 1..40, surgery N = 3..39 and
+    gap families n = 2..20, m = 1..9."""
+    return (
+        [SpectrumRequest(np.arange(N + 1.0) - N / 2.0) for N in range(1, 41)]
+        + [surgery_spectrum(N) for N in range(3, 40, 2)]
+        + [gap_family_spectrum(n, m) for n in range(2, 21) for m in range(1, 10)]
+    )
+
+
+def seeded_spectra(count=100, seed=18):
+    """Random spectra of 2..41 points, alternately symmetric and generic."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        npts = int(rng.integers(2, 42))
+        if i % 2:
+            yield SpectrumRequest(symmetric_spectrum(rng, npts))
+        else:
+            yield SpectrumRequest(np.cumsum(rng.uniform(0.1, 10.0, size=npts)))
+
+
+def lanczos_reference(sd):
+    """Reference for reconstruct_jacobi, bit for bit: its Lanczos loop with
+    ``np.linalg.norm`` for each residual norm and the previous vector read
+    back from the basis (test oracle)."""
+    c, e = _frame(sd.eigenvalues)
+    lam = np.ldexp(sd.eigenvalues - c, -e)
+    n = lam.size
+    diag = np.zeros(n)
+    off = np.zeros(n - 1)
+    basis = np.zeros((n, n))
+    q = np.sqrt(sd.weights)
+    q /= np.linalg.norm(q)
+    for k in range(n):
+        basis[:, k] = q
+        u = lam * q
+        diag[k] = float(q @ u)
+        u = u - diag[k] * q
+        if k:
+            u -= off[k - 1] * basis[:, k - 1]
+        span = basis[:, : k + 1]
+        for _ in range(2):
+            u -= span @ (span.T @ u)
+        if k < n - 1:
+            norm = float(np.linalg.norm(u))
+            if not norm > 1e-12:
+                raise ReconstructionError("breakdown")
+            off[k] = norm
+            q = u / norm
+    if np.abs(off - off[::-1]).max() >= 1e-6:
+        raise ReconstructionError("asymmetric")
+    off = 0.5 * (off + off[::-1])
+    return c + np.ldexp(diag, e), np.ldexp(off, e)
 
 
 class TestSpectrumRequest:
@@ -104,6 +161,21 @@ class TestPersymmetricWeights:
             lam = symmetric_spectrum(rng, int(rng.integers(2, 31)))
             w = persymmetric_weights(SpectrumRequest(lam)).weights
             assert np.abs(w - w[::-1]).max() < 1e-12
+
+    def test_computed_once_per_request(self):
+        req = gap_family_spectrum(20, 9)
+        assert persymmetric_weights(req) is persymmetric_weights(req)
+        fresh = persymmetric_weights(SpectrumRequest(req.eigenvalues))
+        assert fresh is not persymmetric_weights(req)
+        assert np.array_equal(fresh.weights, persymmetric_weights(req).weights)
+
+    def test_underflowing_weight_raises_on_every_call(self):
+        # 40 points 2e-10 apart and one at 1.0: the smallest mirror weight
+        # underflows to 0, and no call may return a cached result
+        req = SpectrumRequest(np.concatenate([np.arange(40) * 2e-10, [1.0]]))
+        for _ in range(3):
+            with pytest.raises(ValueError, match=r"strictly inside \(0, 1\)"):
+                persymmetric_weights(req)
 
     def test_weights_positive_and_normalized_at_max_size(self):
         # size 41 spans the worst weight hierarchy the package supports
@@ -188,6 +260,15 @@ class TestReconstructJacobi:
         scale = np.abs(sd.eigenvalues).max()
         assert np.abs(back.eigenvalues - sd.eigenvalues).max() < 1e-9 * scale
         assert np.abs(back.weights - sd.weights).max() < 1e-8
+
+    def test_matches_reference_lanczos_bit_for_bit(self):
+        requests = named_spectra() + list(seeded_spectra())
+        assert len(requests) == 330
+        for req in requests:
+            sd = persymmetric_weights(req)
+            diag, off = lanczos_reference(sd)
+            J = reconstruct_jacobi(sd)
+            assert np.array_equal(J.diag, diag) and np.array_equal(J.offdiag, off)
 
     def test_rejects_visibly_asymmetric_weights(self):
         # mirror-asymmetric weights realize a non-persymmetric wire, which

@@ -532,6 +532,14 @@ class TestSolveOnce:
         expected = jacobi._spectral_sum(fresh, [2.5], (vectors * vectors[0]).T)[0]
         assert np.array_equal(col, expected)
 
+    def test_last_site_coefficients_are_kept(self):
+        sd = persymmetric_weights(gap_family_spectrum(3, 2))
+        last = jacobi._boundary_coefficients(sd, "last")
+        assert jacobi._boundary_coefficients(sd, "last") is last
+        assert np.array_equal(last, sd.weights * [-1.0, 1.0, -1.0, 1.0, -1.0, 1.0])
+        with pytest.raises(ValueError):
+            last[0] = 1.0
+
     def test_cached_arrays_are_read_only(self):
         J = krawtchouk_chain(5)
         sd = eigendecompose(J)
@@ -685,6 +693,27 @@ class TestAmplitudeSeries:
                 * max(1.0, np.abs(mu).max() * t1)
             )
             assert np.all(np.abs(got - expected) <= bound)
+
+    @pytest.mark.parametrize("steps", [2, 2001])
+    @pytest.mark.parametrize("shift", [0.0, 1e7])
+    def test_floor_matches_reference_bit_for_bit(self, steps, shift):
+        # two steps make one block, whose kernel values are not C-contiguous
+        sd = persymmetric_weights(
+            SpectrumRequest(gap_family_spectrum(20, 9).eigenvalues + shift)
+        )
+        assert (sd._centred[0] != 0.0) == (shift != 0.0)
+        coefficients = np.stack(
+            [sd.weights, jacobi._boundary_coefficients(sd, "last")], axis=1
+        )
+        _, values = jacobi._grid_sum(sd, 0.0, 7.9, steps, coefficients)
+        assert values.flags.c_contiguous == (steps > 2)
+        floor = 1e-12 * np.abs(coefficients).sum(axis=0)
+        for part in (values.real, values.imag):
+            part[np.abs(part) <= floor] = 0.0
+        series = amplitude_series(sd, 0.0, 7.9, steps)
+        for got, expected in ((series.x0, values[:, 0]), (series.xN, values[:, 1])):
+            assert np.array_equal(got.real, expected.real)
+            assert np.array_equal(got.imag, expected.imag)
 
     def test_memory_is_bounded(self):
         # no steps x sites temporaries: the series and O(sqrt(steps) S)
