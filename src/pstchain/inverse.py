@@ -32,7 +32,7 @@ _BREAKDOWN_RTOL = 1e-12
 _SYMMETRIZE_LIMIT = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumRequest:
     """A prescribed simple spectrum for the inverse problem.
 

@@ -13,16 +13,19 @@ pivots of T - sigma I.  Eigenvalues are located by multisection on their
 sign count (the Sturm count).  Each starts from a narrow bracket about its
 LAPACK value.  Each pass splits every open interval into ``_SECTIONS``
 equal parts and counts at all their interior shifts in one sweep over the
-sites; the first pass also counts at the brackets' ends, which checks them
-(a bracket that fails restarts from the Gershgorin interval).  About 2
-passes reach working precision.  Eigenvectors come from twisted
-factorizations that join the forward and backward pivots at the
-eigenvalue, both from one sweep over T and its mirror image for all
-eigenvalues at once, so a solve takes three sweeps.  For the supported
-sizes (at most
-``MAX_SITES`` sites) and simple, well separated spectra this gives
-eigenpair residuals and weights at working precision, also for strongly
-localized eigenvectors.
+sites.  The first pass counts only in a window of ``2 _WINDOW + 1`` of
+those shifts about the LAPACK value; as the count never falls as the shift
+rises, a window whose ends bracket the eigenvalue picks the section the
+whole pass would.  A bracket the window misses takes the whole first pass
+in one more sweep, counted at its ends too, which checks it (a bracket
+that fails restarts from the Gershgorin interval).  About 2 passes reach
+working precision.  Eigenvectors come from twisted factorizations that
+join the forward and backward pivots at the eigenvalue, both from one
+sweep over T and its mirror image for all eigenvalues at once, so a solve
+takes three sweeps, the first one of 2 _WINDOW + 1 shifts per eigenvalue.
+For the supported sizes (at most ``MAX_SITES`` sites) and simple, well
+separated spectra this gives eigenpair residuals and weights at working
+precision, also for strongly localized eigenvectors.
 
 The kernels work in one affine frame, ``_frame``: on (lambda - c) 2^-e,
 with c the midpoint and 2^e the power of two above the half-span (the
@@ -44,7 +47,8 @@ the read-only eigenvector matrix are kept on the instance on first use and
 shared by ``eigendecompose`` and every ``full_evolution_column`` call.
 Likewise a ``SpectralData`` keeps, on first use, the frame's midpoint c with
 the centred spectrum lambda - c, and the alternating-sign x_N coefficients,
-which the transfer phase, the ESE search and every series share.
+which the transfer phase, the ESE search and every series share.  Value
+types that hold arrays compare and hash by identity, as these caches do.
 """
 
 from __future__ import annotations
@@ -74,6 +78,12 @@ _UNITARITY_SLACK = 1e-9
 # parts, narrowing it by 5 bits; 32 passes thus cover 160 bits.
 _SECTIONS = 32
 _BISECT_MAX_ITER = 32
+# The first pass counts only at the guess -+ this many sections.  On two
+# corpora of about 285,000 eigenvalues each (every named and benchmark wire,
+# 12,000 seeded random wires of 2 to 41 sites), LAPACK's guess lay at most
+# 2.72 sections from the eigenvalue, at 5 sites (2.34, at 3 sites, on the
+# other corpus).
+_WINDOW = 4
 
 # Cancellation floor of a spectral sum per unit of total coefficient modulus.
 _NOISE_CLEARANCE = 1e-12
@@ -116,7 +126,7 @@ def _spectrum(values) -> np.ndarray:
     return lam
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JacobiMatrix:
     """Symmetric tridiagonal wire Hamiltonian.
 
@@ -155,7 +165,7 @@ class JacobiMatrix:
         return _eigensystem(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralData:
     """Simple ordered spectrum paired with positive first-component weights.
 
@@ -211,7 +221,7 @@ class PersymmetryReport:
     tolerance: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AmplitudeSeries:
     """Boundary amplitudes x_0(t) and x_N(t) sampled on a time grid."""
 
@@ -253,9 +263,23 @@ def _pivots(diag, off2, shifts, pivmin) -> np.ndarray:
         if i:
             np.divide(off2[i - 1], piv[i - 1], out=buf)
             np.subtract(d, buf, out=d)
-        if np.abs(d, out=buf).min() < pivmin:
+        if np.minimum.reduce(np.abs(d, out=buf), axis=None) < pivmin:
             d[buf < pivmin] = -pivmin
     return piv
+
+
+def _sections(grid, counts, k):
+    """Whether each column of ``grid`` brackets its eigenvalue, and the section.
+
+    Column j of ``grid`` holds increasing shifts for the eigenvalue of index
+    ``k[j]``, and ``counts`` their Sturm counts.  The shifts bracket it where
+    count(grid[0]) < k <= count(grid[-1]); the section is then the first
+    shift whose count reaches k and the shift before it.
+    """
+    held = (counts[0] < k) & (k <= counts[-1])
+    first = np.argmax(counts >= k, axis=0)
+    columns = np.arange(k.size)
+    return held, grid[first - 1, columns], grid[first, columns]
 
 
 def _bisect_eigenvalues(diag, off, off2, pivmin) -> np.ndarray:
@@ -272,12 +296,18 @@ def _bisect_eigenvalues(diag, off, off2, pivmin) -> np.ndarray:
     shift whose count reaches the eigenvalue's index and the new lo is the
     shift just before it, so count(lo) < index <= count(hi) holds by
     construction and each pass narrows the interval ``_SECTIONS``-fold.
-    The first pass takes every bracket and also counts at its two ends,
-    which checks the seeded brackets in the same sweep: a bracket that
-    fails count(lo) < index <= count(hi) restarts from the padded
-    Gershgorin interval, and that pass leaves it otherwise untouched.  The
-    Sturm count alone thus decides every bracket, and LAPACK only saves
-    passes.
+
+    When every guess is finite, the first pass counts only at its
+    ``2 _WINDOW + 1`` shifts nearest the guess, the window.  The Sturm
+    count never falls as the shift rises (Kahan 1966; Demmel, Dhillon &
+    Ren 1995), so where the window's ends bracket the eigenvalue, its
+    first shift that reaches the index is the one the whole pass would
+    pick, and the interval is the same to the bit.  Every other interval
+    takes the whole first pass in one more sweep, counted at its two ends
+    too, which checks the bracket: one that fails count(lo) < index <=
+    count(hi) restarts from the padded Gershgorin interval, and that pass
+    leaves it otherwise untouched.  Either way the Sturm count alone
+    decides every bracket, and LAPACK only saves passes.
 
     An interval stops once its width is at most
     max(atol, 2 eps max(|lo|, |hi|)), with atol = eps times the larger
@@ -306,26 +336,35 @@ def _bisect_eigenvalues(diag, off, off2, pivmin) -> np.ndarray:
     hi = np.where(seeded, guess + 8 * n * atol, ghi + pad)
     sites = diag[:, None, None], off2[:, None, None]
     fractions = np.arange(1, _SECTIONS)[:, None] / _SECTIONS
-    active, counted = np.arange(n), slice(None)
-    for _ in range(_BISECT_MAX_ITER):
-        a, b, k = lo[active], hi[active], want[active]
+    missed = np.arange(n)
+    if seeded.all():
+        centre = _SECTIONS // 2 - 1  # the guess's row in fractions
+        grid = lo + fractions[centre - _WINDOW:centre + _WINDOW + 1] * (hi - lo)
+        counts = np.count_nonzero(_pivots(*sites, grid, pivmin) < 0.0, axis=0)
+        held, a, b = _sections(grid, counts, want)
+        lo, hi = np.where(held, a, lo), np.where(held, b, hi)
+        missed = np.nonzero(~held)[0]
+    if missed.size:
+        a, b, k = lo[missed], hi[missed], want[missed]
         grid = np.vstack([a, a + fractions * (b - a), b])
-        # past the first pass, count(a) < k <= count(b) by construction
-        counts = np.empty(grid.shape, dtype=int)
-        counts[0], counts[-1] = k - 1, k
-        pivots = _pivots(*sites, grid[counted], pivmin)
-        counts[counted] = np.count_nonzero(pivots < 0.0, axis=0)
-        counted = slice(1, -1)
-        held = (counts[0] < k) & (k <= counts[-1])
-        first = np.argmax(counts >= k, axis=0)
-        columns = np.arange(active.size)
-        lo[active] = np.where(held, grid[first - 1, columns], glo - pad)
-        hi[active] = np.where(held, grid[first, columns], ghi + pad)
+        counts = np.count_nonzero(_pivots(*sites, grid, pivmin) < 0.0, axis=0)
+        held, a, b = _sections(grid, counts, k)
+        lo[missed] = np.where(held, a, glo - pad)
+        hi[missed] = np.where(held, b, ghi + pad)
+    for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         width = np.maximum(atol, 2.0 * eps * np.maximum(np.abs(lo), np.abs(hi)))
         active = np.nonzero((hi - lo > width) & (mid > lo) & (mid < hi))[0]
         if not active.size:
             break
+        a, b, k = lo[active], hi[active], want[active]
+        grid = np.vstack([a, a + fractions * (b - a), b])
+        # count(a) < k <= count(b) by construction
+        counts = np.empty(grid.shape, dtype=int)
+        counts[0], counts[-1] = k - 1, k
+        pivots = _pivots(*sites, grid[1:-1], pivmin)
+        counts[1:-1] = np.count_nonzero(pivots < 0.0, axis=0)
+        _, lo[active], hi[active] = _sections(grid, counts, k)
     return 0.5 * (lo + hi)
 
 
@@ -405,10 +444,12 @@ def eigendecompose(J: JacobiMatrix) -> SpectralData:
     """Eigenvalues (increasing) and first-component weights of the wire.
 
     Eigenvalues come from multisection on the Sturm count, from brackets
-    seeded by LAPACK and checked within the first of about 2 sweeps over
-    the sites, eigenvectors from twisted factorization in one more sweep;
-    weights are the squared first components, renormalized to sum to
-    exactly 1.
+    seeded by LAPACK, in about 2 sweeps over the sites: the first counts
+    only in a window of 9 shifts about each LAPACK value, and a bracket
+    the window misses takes the whole first pass, with its check, in one
+    more sweep.  Eigenvectors come from twisted factorization in one more
+    sweep; weights are the squared first components, renormalized to sum
+    to exactly 1.
     Couplings > 0 guarantee the spectrum is simple, and a computed gap below
     the simplicity tolerance raises :class:`EigensolverError` with the
     offending index.  The wire is solved once per instance; later calls, and

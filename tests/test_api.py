@@ -2,6 +2,8 @@
 
 import types
 
+import pytest
+
 import pstchain
 
 
@@ -26,3 +28,27 @@ def test_numerical_failures_share_one_base():
         "ReconstructionError",
     ):
         assert issubclass(getattr(pstchain, name), pstchain.ChainError)
+
+
+VALUE_TYPES = {
+    "SpectrumRequest": lambda: pstchain.SpectrumRequest([0.0, 1.0, 2.0]),
+    "JacobiMatrix": lambda: pstchain.krawtchouk_chain(2),
+    "SpectralData": lambda: pstchain.SpectralData(
+        eigenvalues=[-1.0, 1.0], weights=[0.5, 0.5]
+    ),
+    "AmplitudeSeries": lambda: pstchain.AmplitudeSeries(
+        times=[0.0, 1.0], x0=[1.0, 0.5], xN=[0.0, 0.5j]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", VALUE_TYPES)
+def test_array_holding_values_compare_and_hash_by_identity(name):
+    # each instance keeps its own cached results, so an equal-valued copy
+    # is another value; numpy fields would make == ambiguous and hash fail
+    value, copy = VALUE_TYPES[name](), VALUE_TYPES[name]()
+    assert type(value).__name__ == name
+    assert value == value
+    assert not value == copy and value != copy
+    assert hash(value) == hash(value)
+    assert len({value, copy}) == 2

@@ -187,11 +187,19 @@ def corrupt_eigvalsh(monkeypatch, corruption):
 
     "rolled" puts each guess on a neighbouring eigenvalue, "shifted" three
     spectral spans away, "nan" makes every guess NaN, and "error" raises.
+    "nudged" raises each guess by 3 n atol, with atol the solver's stopping
+    tolerance: inside its bracket, -+ 8 n atol, but outside the window of
+    the first pass, -+ 2 n atol.
     """
     eigvalsh = np.linalg.eigvalsh
 
     def corrupted(a):
         guess = eigvalsh(a)
+        if corruption == "nudged":
+            diag, off = np.diag(a), np.abs(np.diag(a, 1))
+            radius = np.concatenate([off, [0.0]]) + np.concatenate([[0.0], off])
+            bound = max(abs(np.min(diag - radius)), abs(np.max(diag + radius)))
+            return guess + 3 * diag.size * np.finfo(float).eps * bound
         if corruption == "rolled":
             return np.roll(guess, 1)
         if corruption == "shifted":
@@ -217,12 +225,12 @@ def to_dense(J):
 
 
 def count_calls(monkeypatch, name):
-    """Record every call of the private jacobi helper ``name``."""
+    """Record the arguments of every call of the private jacobi helper ``name``."""
     calls = []
     original = getattr(jacobi, name)
 
     def counting(*args):
-        calls.append(None)
+        calls.append(args)
         return original(*args)
 
     monkeypatch.setattr(jacobi, name, counting)
@@ -362,9 +370,10 @@ class TestEigendecompose:
     @pytest.mark.parametrize("case", [*range(1, 41), *DRAWS])
     def test_bisection_sweeps_odd_krawtchouk(self, case, monkeypatch):
         # every Krawtchouk chain (odd site counts put an eigenvalue at
-        # exactly 0) and the seeded draws: the seeded brackets pass the
-        # check in the first pass, 32-way multisection takes at most 2
-        # passes, and one sweep gives the twisted factorization
+        # exactly 0) and the seeded draws: every eigenvalue lies in the
+        # first pass's window of 9 shifts about its guess, 32-way
+        # multisection takes at most 2 passes, and one sweep gives the
+        # twisted factorization
         if isinstance(case, int):
             wires = [krawtchouk_chain(case)]
         else:
@@ -374,6 +383,7 @@ class TestEigendecompose:
             calls.clear()
             _eigensystem(J)
             assert len(calls) <= 3
+            assert calls[0][2].shape == (9, J.n_sites)
 
     @pytest.mark.parametrize("kind", ["krawtchouk", *DRAWS])
     def test_matches_five_sweep_solver(self, kind, monkeypatch):
@@ -393,6 +403,19 @@ class TestEigendecompose:
         corrupt_eigvalsh(monkeypatch, corruption)
         for J in fallback_wires():
             assert_matches_five_sweep_solver(J, monkeypatch)
+
+    def test_seed_outside_the_window_takes_the_whole_first_pass(self, monkeypatch):
+        # every window misses, so each bracket takes the whole first pass
+        # in a sweep of its own, holds there and then joins pass 2: one
+        # sweep more than a seed inside the window, and no other bit (a
+        # 2-site wire needs no pass 2, the reference solver no _pivots)
+        corrupt_eigvalsh(monkeypatch, "nudged")
+        calls = count_calls(monkeypatch, "_pivots")
+        for J in fallback_wires():
+            calls.clear()
+            assert_matches_five_sweep_solver(J, monkeypatch)
+            assert len(calls) == (3 if J.n_sites == 2 else 4)
+            assert calls[1][2].shape == (33, J.n_sites)
 
     @pytest.mark.parametrize("corruption", CORRUPTIONS)
     def test_rejected_seed_falls_back_to_gershgorin(self, corruption, monkeypatch):
@@ -426,27 +449,29 @@ class TestEigendecompose:
                 jacobi._twisted_vectors(*args), loop_twisted_vectors(*args)
             )
 
-    @pytest.mark.parametrize("kind", ["krawtchouk", "localized"])
+    @pytest.mark.parametrize("kind", ["krawtchouk", *DRAWS])
     def test_sturm_count_is_monotone(self, kind):
         # the guarded recurrence's negative-pivot count never falls as the
-        # shift rises, also between an eigenvalue and its float neighbours
+        # shift rises, also between an eigenvalue and its float neighbours;
+        # the first pass's window rests on this
         if kind == "krawtchouk":
-            J = krawtchouk_chain(40)
+            wires = [krawtchouk_chain(N) for N in range(1, 41)]
         else:
-            J = max(random_wires(kind), key=lambda wire: wire.n_sites)
-        lam = eigendecompose(J).eigenvalues
-        shifts = np.sort(np.concatenate([
-            np.linspace(lam[0] - 1.0, lam[-1] + 1.0, 4001),
-            np.nextafter(lam, -np.inf),
-            lam,
-            np.nextafter(lam, np.inf),
-        ]))
-        pivots = jacobi._pivots(
-            J.diag[:, None], (J.offdiag**2)[:, None], shifts, sturm_pivmin(J)
-        )
-        counts = np.count_nonzero(pivots < 0.0, axis=0)
-        assert np.all(np.diff(counts) >= 0)
-        assert counts[0] == 0 and counts[-1] == J.n_sites
+            wires = random_wires(kind)
+        for J in wires:
+            lam = eigendecompose(J).eigenvalues
+            shifts = np.sort(np.concatenate([
+                np.linspace(lam[0] - 1.0, lam[-1] + 1.0, 4001),
+                np.nextafter(lam, -np.inf),
+                lam,
+                np.nextafter(lam, np.inf),
+            ]))
+            pivots = jacobi._pivots(
+                J.diag[:, None], (J.offdiag**2)[:, None], shifts, sturm_pivmin(J)
+            )
+            counts = np.count_nonzero(pivots < 0.0, axis=0)
+            assert np.all(np.diff(counts) >= 0)
+            assert counts[0] == 0 and counts[-1] == J.n_sites
 
     @pytest.mark.parametrize("kind", ["krawtchouk", *DRAWS])
     def test_stacked_pivots_equal_separate_sweeps(self, kind):
