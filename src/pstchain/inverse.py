@@ -6,10 +6,11 @@ which is positive for every s because the alternating sign exactly cancels
 the sign of the product over an increasing sequence.  Reconstruction then
 runs the symmetric Lanczos process on the diagonal matrix of eigenvalues
 with starting vector (sqrt(w_0), ..., sqrt(w_N)), i.e. a discrete
-Stieltjes orthogonalization against the measure sum_s w_s delta_{l_s},
-with full reorthogonalization at every step.  It runs on (l_s - c) 2^-e in
-the frame of ``jacobi._frame`` and maps the wire back: no scale under- or
-overflows, no shift costs digits, and its tolerances are plain constants.
+Stieltjes orthogonalization against the measure sum_s w_s delta_{l_s}; each
+step projects onto the whole basis twice (classical Gram-Schmidt), reading
+a_k from the first pass.  It runs on (l_s - c) 2^-e in the frame of
+``jacobi._frame`` and maps the wire back: no scale under- or overflows, no
+shift costs digits, and its tolerances are plain constants.
 """
 
 from __future__ import annotations
@@ -75,8 +76,8 @@ def persymmetric_weights(req: SpectrumRequest) -> SpectralData:
 def reconstruct_jacobi(sd: SpectralData) -> JacobiMatrix:
     """The persymmetric Jacobi matrix whose spectral data equals ``sd``.
 
-    Lanczos with full (double) reorthogonalization recovers the recurrence
-    coefficients of the discrete measure; the exact answer for
+    Lanczos (two Gram-Schmidt passes a step, a_k from the first) recovers
+    the measure's recurrence coefficients; the exact answer for
     mirror-symmetric weights is persymmetric, so residual coupling
     asymmetry below ``1e-6`` of the half-span (rounded up to a power of two)
     is averaged away and anything larger raises :class:`ReconstructionError`.
@@ -94,14 +95,12 @@ def reconstruct_jacobi(sd: SpectralData) -> JacobiMatrix:
     q /= math.sqrt(q @ q)
     for k in range(n):
         basis[:, k] = q
-        u = lam * q
-        diag[k] = float(q @ u)
-        u = u - diag[k] * q
-        if k:
-            u -= off[k - 1] * prev
         span = basis[:, : k + 1]
-        for _ in range(2):
-            u -= span @ (span.T @ u)
+        u = lam * q
+        h = span.T @ u
+        diag[k] = h[k]
+        u -= span @ h
+        u -= span @ (span.T @ u)
         if k < n - 1:
             norm = math.sqrt(u @ u)
             if not norm > _BREAKDOWN_RTOL:
@@ -110,7 +109,7 @@ def reconstruct_jacobi(sd: SpectralData) -> JacobiMatrix:
                     f"{norm:.3e} of the half-span"
                 )
             off[k] = norm
-            prev, q = q, u / norm
+            q = u / norm
     asym = float(np.abs(off - off[::-1]).max())
     if asym >= _SYMMETRIZE_LIMIT:
         raise ReconstructionError(

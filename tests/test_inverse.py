@@ -1,12 +1,14 @@
 """Inverse spectral construction: weights, reconstruction, spectral surgery."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from pstchain import (
     ReconstructionError,
+    SpectralData,
     SpectrumRequest,
     amplitude_values,
     check_persymmetry,
@@ -18,6 +20,8 @@ from pstchain import (
     surgery_spectrum,
 )
 from pstchain.jacobi import _frame
+
+EPS = np.finfo(float).eps
 
 
 def symmetric_spectrum(rng, npts):
@@ -74,9 +78,9 @@ def seeded_spectra(count=100, seed=18):
 
 
 def lanczos_reference(sd):
-    """Reference for reconstruct_jacobi, bit for bit: its Lanczos loop with
-    ``np.linalg.norm`` for each residual norm and the previous vector read
-    back from the basis (test oracle)."""
+    """Accuracy baseline for reconstruct_jacobi: the earlier Lanczos loop,
+    which takes a_k as q @ (lam q), subtracts the three-term components and
+    then projects onto the basis twice (test oracle)."""
     c, e = _frame(sd.eigenvalues)
     lam = np.ldexp(sd.eigenvalues - c, -e)
     n = lam.size
@@ -105,6 +109,46 @@ def lanczos_reference(sd):
         raise ReconstructionError("asymmetric")
     off = 0.5 * (off + off[::-1])
     return c + np.ldexp(diag, e), np.ldexp(off, e)
+
+
+def exact_stieltjes(lam):
+    """Exact a_k and b_k^2 (Fractions) of the persymmetric measure on the
+    half-integer lattice points ``lam`` (test oracle).
+
+    The nodes x = 2 lam are integers and the weights, proportional to
+    1 / prod_{k!=s}|x_s - x_k|, are scaled to integers, so each monic
+    orthogonal polynomial p_k is kept at the nodes as an integer vector P_k
+    times a rational scale s_k, and the Stieltjes recurrence
+    p_{k+1} = (x - a_k) p_k - b_{k-1}^2 p_{k-1} runs in integer arithmetic.
+    """
+    x = [int(2 * v) for v in lam.tolist()]
+    assert x == [2 * v for v in lam.tolist()], "not on the half-integer lattice"
+    prods = [math.prod(abs(xs - xk) for xk in x if xk != xs) for xs in x]
+    lcm = math.lcm(*prods)
+    w = [lcm // p for p in prods]
+    diag, off2 = [], []
+    P, P_prev = [1] * len(x), [0] * len(x)
+    s, s_prev, b2 = Fraction(1), Fraction(1), Fraction(0)
+    norm = sum(w)
+    while True:
+        a = Fraction(sum(wi * xi * pi * pi for wi, xi, pi in zip(w, x, P)), norm)
+        diag.append(a / 2)
+        if len(diag) == len(x):
+            return diag, off2
+        # with r = b_{k-1}^2 s_{k-1} den(a) / s_k,  p_{k+1} = s_k / (den(a) den(r))
+        # * [den(r) (den(a) x - num(a)) P_k - num(r) P_{k-1}]
+        r = b2 * s_prev * a.denominator / s
+        P_next = [
+            r.denominator * (a.denominator * xi - a.numerator) * pi - r.numerator * qi
+            for xi, pi, qi in zip(x, P, P_prev)
+        ]
+        g = math.gcd(*P_next)
+        P_next = [v // g for v in P_next]
+        s_next = s * g / (a.denominator * r.denominator)
+        norm_next = sum(wi * pi * pi for wi, pi in zip(w, P_next))
+        b2 = (s_next / s) ** 2 * Fraction(norm_next, norm)
+        off2.append(b2 / 4)
+        P_prev, P, s_prev, s, norm = P, P_next, s, s_next, norm_next
 
 
 class TestSpectrumRequest:
@@ -261,20 +305,63 @@ class TestReconstructJacobi:
         assert np.abs(back.eigenvalues - sd.eigenvalues).max() < 1e-9 * scale
         assert np.abs(back.weights - sd.weights).max() < 1e-8
 
-    def test_matches_reference_lanczos_bit_for_bit(self):
-        requests = named_spectra() + list(seeded_spectra())
-        assert len(requests) == 330
+    def test_matches_exact_stieltjes_on_named_spectra(self):
+        # both this loop and the earlier one meet one bound against exact
+        # rational a_k and b_k^2 (measured: 12.5 and 12.6 eps for the
+        # diagonal, 4.0 and 3.5 eps for the couplings)
+        requests = named_spectra()
+        assert len(requests) == 230
         for req in requests:
+            diag_exact, off2_exact = exact_stieltjes(req.eigenvalues)
+            half_span = Fraction(0.5 * (req.eigenvalues[-1] - req.eigenvalues[0]))
+            sd = persymmetric_weights(req)
+            J = reconstruct_jacobi(sd)
+            for name, (diag, off) in {
+                "new": (J.diag, J.offdiag), "baseline": lanczos_reference(sd)
+            }.items():
+                diag_err = max(
+                    abs(Fraction(v) - a) for v, a in zip(diag.tolist(), diag_exact)
+                )
+                off_err = max(
+                    abs(Fraction(v) ** 2 / b2 - 1) / 2
+                    for v, b2 in zip(off.tolist(), off2_exact)
+                )
+                assert diag_err <= 16 * EPS * half_span, (name, req.eigenvalues)
+                assert off_err <= 8 * EPS, (name, req.eigenvalues)
+
+    def test_exact_stieltjes_oracle_on_krawtchouk(self):
+        for N in range(1, 41):
+            diag, off2 = exact_stieltjes(np.arange(N + 1.0) - N / 2.0)
+            assert diag == [0] * (N + 1)
+            assert off2 == [Fraction((k + 1) * (N - k), 4) for k in range(N)]
+
+    def test_seeded_spectra_agree_with_baseline(self):
+        # measured gaps: 9.3e-15 of the half-span (diagonal) and 1.4e-14
+        # relative (couplings)
+        for req in seeded_spectra():
             sd = persymmetric_weights(req)
             diag, off = lanczos_reference(sd)
             J = reconstruct_jacobi(sd)
-            assert np.array_equal(J.diag, diag) and np.array_equal(J.offdiag, off)
+            half_span = 0.5 * (req.eigenvalues[-1] - req.eigenvalues[0])
+            assert np.abs(J.diag - diag).max() <= 128 * EPS * half_span
+            assert np.abs(J.offdiag / off - 1.0).max() <= 128 * EPS
+
+    def test_breakdown_on_effectively_two_point_measure(self):
+        # the outer weights are below round-off, so the residual after the
+        # second step is noise and the measure has two support points
+        sd = SpectralData(
+            eigenvalues=[-1.5, -0.5, 0.5, 1.5], weights=[1e-30, 0.5, 0.5, 1e-30]
+        )
+        with pytest.raises(
+            ReconstructionError,
+            match=r"^orthogonalization broke down at step 1: residual norm "
+            r"2\.828e-15 of the half-span$",
+        ):
+            reconstruct_jacobi(sd)
 
     def test_rejects_visibly_asymmetric_weights(self):
         # mirror-asymmetric weights realize a non-persymmetric wire, which
         # this inverse problem does not cover
-        from pstchain import ReconstructionError, SpectralData
-
         sd = SpectralData(
             eigenvalues=[-1.5, -0.5, 0.5, 1.5], weights=[0.7, 0.1, 0.1, 0.1]
         )
