@@ -217,10 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     construct = sub.add_parser("construct", help="build a named wire family")
-    construct.add_argument(
-        "kind",
-        choices=["krawtchouk", "gap-family", "surgery", "example-4x4", "from-spectrum"],
-    )
+    construct.add_argument("kind", choices=list(_CONSTRUCT_KINDS))
     construct.add_argument("--N", type=int, default=None, help="chain parameter N")
     construct.add_argument("--n", type=int, default=None, help="gap-family half-size")
     construct.add_argument("--m", type=int, default=None, help="gap-family middle gap index")

@@ -204,7 +204,7 @@ def detect_pst(req: SpectrumRequest, tol: float = _PST_TOL) -> PstCertificate:
 
 
 def _newton_minimize(
-    sd: SpectralData, times: np.ndarray, index: np.ndarray, width_tol: float
+    sd: SpectralData, times: np.ndarray, index: np.ndarray, transfer_time: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Newton minima of |x_0|^2 from times[index], each kept within a grid step.
 
@@ -212,10 +212,12 @@ def _newton_minimize(
     in one spectral sum per step, over the coefficients (-i mu)^k w of x^(k)
     about the midpoint c, whose factor exp(-ict) cancels in both products.
     Returns (locations, converged): converged means a step of at most
-    ``width_tol`` within ``_REFINE_MAX_ITER`` steps, while a non-positive
-    curvature or a non-finite step stops an iterate, unconverged, in place.
+    ``_REFINE_WIDTH_FRAC * transfer_time`` within ``_REFINE_MAX_ITER`` steps,
+    while a non-positive curvature or a non-finite step stops an iterate,
+    unconverged, in place.
     """
     _, mu = sd._centred
+    width_tol = _REFINE_WIDTH_FRAC * transfer_time
     coefficients = sd.weights[:, None] * (-1j * mu[:, None]) ** np.arange(3)
     t, lo, hi = times[index], times[index - 1], times[index + 1]
     converged = np.zeros(t.size, dtype=bool)
@@ -272,9 +274,7 @@ def detect_ese(sd: SpectralData, cert: PstCertificate) -> EseReport:
     minima = np.nonzero((f2[1:-1] <= f2[:-2]) & (f2[1:-1] <= f2[2:]))[0] + 1
     edge = np.sqrt(np.maximum(f2[minima - 1], f2[minima + 1]))
     kept = minima[edge >= _NOISE_CLEARANCE]
-    t_star, converged = _newton_minimize(
-        sd, times, kept, _REFINE_WIDTH_FRAC * transfer_time
-    )
+    t_star, converged = _newton_minimize(sd, times, kept, transfer_time)
     t_conv = t_star[converged]
     residual = np.abs(_spectral_sum(sd, t_conv, sd.weights))
     small = residual < _ZERO_RESIDUAL_TOL

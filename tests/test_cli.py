@@ -2,15 +2,18 @@
 
 The golden files under ``tests/golden/cli`` pin every output byte of the
 pipeline for a few named documents, and those under ``tests/golden/matrix_only``
-pin ``analyze`` of three of them reduced to their matrix.  Re-record them,
-only when an output change is intended, with
-``PYTHONPATH=src python tests/test_cli.py``.
+pin ``analyze`` of three of them reduced to their matrix.  Both suites run
+through ``cli.main`` in this process and, when one is on PATH, through the
+installed ``pstchain`` console script.  Re-record them, only when an output
+change is intended, with ``PYTHONPATH=src python tests/test_cli.py``.
 """
 
 import io
 import json
 import math
 import os
+import shutil
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -64,12 +67,38 @@ def named_documents():
             yield pytest.param(args, m, id=f"gap-family-{n}-{m}")
 
 
-def run(tmp_path, *argv):
-    return main([str(a) for a in argv])
+def in_process(argv) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``cli.main`` run in this process."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = main([str(a) for a in argv])
+    return code, stdout.getvalue(), stderr.getvalue()
 
 
-def cli_transcript(construct_args, workdir: Path) -> dict[str, bytes]:
-    """Every file one document's pipeline writes, plus ``runs.json``.
+def console_script(argv) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of the installed ``pstchain`` script."""
+    proc = subprocess.run(
+        ["pstchain", *map(str, argv)], capture_output=True, encoding="utf-8", timeout=60
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+NO_SCRIPT = pytest.mark.skipif(not shutil.which("pstchain"), reason="no pstchain script on PATH")
+RUNNERS = [
+    pytest.param(in_process, id="main"),
+    pytest.param(console_script, id="script", marks=NO_SCRIPT),
+]
+
+
+def through_both(cases):
+    """(runner, case) for each case: ``cli.main`` under the case's id, then the script."""
+    for case in cases:
+        yield pytest.param(in_process, case, id=case)
+        yield pytest.param(console_script, case, id=f"{case}-script", marks=NO_SCRIPT)
+
+
+def cli_transcript(run, construct_args, workdir: Path) -> dict[str, bytes]:
+    """Every file one document's pipeline writes through ``run``, plus ``runs.json``.
 
     ``runs.json`` records each invocation's exit code, stdout manifest and
     stderr, with ``workdir`` replaced by ``<out>``.
@@ -86,42 +115,40 @@ def cli_transcript(construct_args, workdir: Path) -> dict[str, bytes]:
     }
     runs = []
     for name, argv in invocations.items():
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with redirect_stdout(stdout), redirect_stderr(stderr):
-            code = main([str(a) for a in argv] + ["--out", str(workdir / name)])
+        code, stdout, stderr = run([*argv, "--out", workdir / name])
         runs.append({
             "output": name,
             "exit_code": code,
-            "stdout": stdout.getvalue().replace(str(workdir), "<out>"),
-            "stderr": stderr.getvalue().replace(str(workdir), "<out>"),
+            "stdout": stdout.replace(str(workdir), "<out>"),
+            "stderr": stderr.replace(str(workdir), "<out>"),
         })
     files = {path.name: path.read_bytes() for path in workdir.iterdir()}
     files["runs.json"] = (json.dumps(runs, indent=2) + "\n").encode()
     return files
 
 
-@pytest.mark.parametrize("name", GOLDEN_DOCUMENTS)
-def test_matches_golden_cli_outputs(name, tmp_path):
-    got = cli_transcript(GOLDEN_DOCUMENTS[name], tmp_path)
+@pytest.mark.parametrize("run, name", through_both(GOLDEN_DOCUMENTS))
+def test_matches_golden_cli_outputs(run, name, tmp_path):
+    got = cli_transcript(run, GOLDEN_DOCUMENTS[name], tmp_path)
     golden = GOLDEN_CLI / name
     assert sorted(got) == sorted(path.name for path in golden.iterdir())
     for file_name, content in got.items():
         assert content == (golden / file_name).read_bytes(), file_name
 
 
-def matrix_only_analysis(construct_args, workdir: Path) -> bytes:
-    """analyze's output on a copy of the construct document with only its matrix."""
+def matrix_only_analysis(run, construct_args, workdir: Path) -> bytes:
+    """analyze's output, through ``run``, on a copy of the construct document
+    with only its matrix."""
     doc, copy, report = (workdir / name for name in ("doc.json", "matrix.json", "report.json"))
-    with redirect_stdout(io.StringIO()):
-        assert main(["construct", *construct_args, "--out", str(doc)]) == 0
-        copy.write_text(json.dumps({"matrix": json.loads(doc.read_text())["matrix"]}))
-        assert main(["analyze", "--in", str(copy), "--out", str(report)]) == 0
+    assert run(["construct", *construct_args, "--out", doc])[0] == 0
+    copy.write_text(json.dumps({"matrix": json.loads(doc.read_text())["matrix"]}))
+    assert run(["analyze", "--in", copy, "--out", report])[0] == 0
     return report.read_bytes()
 
 
-@pytest.mark.parametrize("name", MATRIX_ONLY_DOCUMENTS)
-def test_matrix_only_analysis_matches_golden(name, tmp_path):
-    got = matrix_only_analysis(GOLDEN_DOCUMENTS[name], tmp_path)
+@pytest.mark.parametrize("run, name", through_both(MATRIX_ONLY_DOCUMENTS))
+def test_matrix_only_analysis_matches_golden(run, name, tmp_path):
+    got = matrix_only_analysis(run, GOLDEN_DOCUMENTS[name], tmp_path)
     assert got == (GOLDEN_MATRIX_ONLY / f"{name}.json").read_bytes()
 
 
@@ -129,7 +156,7 @@ def test_matrix_only_analysis_matches_golden(name, tmp_path):
 def test_matrix_only_analysis_counts_every_zero(construct_args, count, tmp_path):
     # the eigensolver's weights carry no 12-digit rounding, so every named
     # wire reports its exact zero count; plateau minima may stay unresolved
-    report = json.loads(matrix_only_analysis(construct_args, tmp_path))
+    report = json.loads(matrix_only_analysis(in_process, construct_args, tmp_path))
     assert len(report["ese"]["zeros"]) == count
 
 
@@ -456,40 +483,47 @@ class TestExitCodes:
         ) == 3
         assert "numerical failure" in capsys.readouterr().err
 
-    def test_scan_over_the_grid_budget_is_numerical_failure(self, tmp_path, capsys):
+    @pytest.mark.parametrize("run", RUNNERS)
+    def test_scan_over_the_grid_budget_is_numerical_failure(self, run, tmp_path):
         # PST at T0 = pi over a span of 780,040: a 99,844,922-point scan
         spectrum = tmp_path / "s.json"
         spectrum.write_text(json.dumps([0.0] + [1.0 + 20001.0 * k for k in range(40)]))
         report = tmp_path / "report.json"
-        assert main(["analyze", "--in", str(spectrum), "--out", str(report)]) == 3
-        assert "exceeds the budget of 1048576" in capsys.readouterr().err
+        code, stdout, stderr = run(["analyze", "--in", spectrum, "--out", report])
+        assert (code, stdout) == (3, "")
+        assert "exceeds the budget of 1048576" in stderr
         assert not report.exists()
 
-    def test_series_over_the_grid_budget_is_numerical_failure(self, tmp_path):
+    @pytest.mark.parametrize("run", RUNNERS)
+    def test_series_over_the_grid_budget_is_numerical_failure(self, run, tmp_path):
         wire, series = tmp_path / "wire.json", tmp_path / "series.csv"
-        main(["construct", "example-4x4", "--out", str(wire)])
-        assert main(
-            ["evolve", "--in", str(wire), "--t0", "0", "--t1", "1",
-             "--steps", str(2**20 + 1), "--out", str(series)]
-        ) == 3
+        assert run(["construct", "example-4x4", "--out", wire])[0] == 0
+        code, stdout, _ = run(
+            ["evolve", "--in", wire, "--t0", "0", "--t1", "1",
+             "--steps", 2**20 + 1, "--out", series]
+        )
+        assert (code, stdout) == (3, "")
         assert not series.exists()
 
-    @pytest.mark.parametrize("args", [
-        ["krawtchouk", "--N", "1000000000"],
-        ["gap-family", "--n", "1000000000", "--m", "1"],
-        ["surgery", "--N", "1000000001"],
-    ], ids=["krawtchouk", "gap-family", "surgery"])
-    def test_oversized_family_is_rejected_before_allocating(self, tmp_path, args):
+    OVERSIZED = {
+        "krawtchouk": ["krawtchouk", "--N", "1000000000"],
+        "gap-family": ["gap-family", "--n", "1000000000", "--m", "1"],
+        "surgery": ["surgery", "--N", "1000000001"],
+    }
+
+    @pytest.mark.parametrize("run, kind", through_both(OVERSIZED))
+    def test_oversized_family_is_rejected_before_allocating(self, run, kind, tmp_path):
         out = tmp_path / "doc.json"
         tracemalloc.start()
         try:
-            code = main(["construct", *args, "--out", str(out)])
+            code, stdout, _ = run(["construct", *self.OVERSIZED[kind], "--out", out])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert code == 2
-        assert peak < 1 << 20
+        assert (code, stdout) == (2, "")
         assert not out.exists()
+        if run is in_process:  # the script allocates in a process of its own
+            assert peak < 1 << 20
 
     def test_unparseable_spectrum_file(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -503,12 +537,6 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as info:
             main(["construct", "pentagon", "--out", str(tmp_path / "o.json")])
         assert info.value.code == 2
-
-
-def _manifest_run(capsys, argv):
-    code = main([str(a) for a in argv])
-    captured = capsys.readouterr()
-    return code, captured.out
 
 
 class TestManifest:
@@ -528,22 +556,20 @@ class TestManifest:
         assert list(manifest["inputs"].items()) == inputs
         assert manifest["outputs"] == [str(out)]
 
-    def test_construct_named_kind(self, tmp_path, capsys):
+    def test_construct_named_kind(self, tmp_path):
         out = tmp_path / "k.json"
-        code, stdout = _manifest_run(
-            capsys, ["construct", "krawtchouk", "--N", 3, "--out", out]
-        )
+        code, stdout, _ = in_process(["construct", "krawtchouk", "--N", 3, "--out", out])
         assert code == 0
         self.assert_manifest(stdout, "construct", [
             ("kind", "krawtchouk"), ("N", 3), ("n", None), ("m", None),
             ("in", None), ("tol", 1e-8),
         ], out)
 
-    def test_construct_from_spectrum(self, tmp_path, capsys):
+    def test_construct_from_spectrum(self, tmp_path):
         spectrum = tmp_path / "spectrum.json"
         spectrum.write_text("[-2.5, -1.5, 1.5, 2.5]\n")
         out = tmp_path / "doc.json"
-        code, stdout = _manifest_run(capsys, [
+        code, stdout, _ = in_process([
             "construct", "from-spectrum", "--out", out, "--in", spectrum,
             "--tol", "1e-6",
         ])
@@ -553,16 +579,16 @@ class TestManifest:
             ("in", str(spectrum)), ("tol", 1e-6),
         ], out)
 
-    def test_analyze(self, wire, tmp_path, capsys):
+    def test_analyze(self, wire, tmp_path):
         out = tmp_path / "report.json"
-        code, stdout = _manifest_run(capsys, ["analyze", "--out", out, "--in", wire])
+        code, stdout, _ = in_process(["analyze", "--out", out, "--in", wire])
         assert code == 0
         self.assert_manifest(stdout, "analyze", [("in", str(wire)), ("tol", 1e-8)], out)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_evolve(self, fmt, wire, tmp_path, capsys):
+    def test_evolve(self, fmt, wire, tmp_path):
         out = tmp_path / f"series.{fmt}"
-        code, stdout = _manifest_run(capsys, [
+        code, stdout, _ = in_process([
             "evolve", "--format", fmt, "--steps", 5, "--t1", 2.5, "--t0", 0.5,
             "--in", wire, "--out", out,
         ])
@@ -571,9 +597,9 @@ class TestManifest:
             ("in", str(wire)), ("t0", 0.5), ("t1", 2.5), ("steps", 5), ("format", fmt),
         ], out)
 
-    def test_plot(self, wire, tmp_path, capsys):
+    def test_plot(self, wire, tmp_path):
         out = tmp_path / "fig.svg"
-        code, stdout = _manifest_run(capsys, [
+        code, stdout, _ = in_process([
             "plot", "--out", out, "--tol", "1e-9", "--t1", 3, "--t0", 0, "--in", wire,
         ])
         assert code == 0
@@ -589,10 +615,10 @@ class TestManifest:
          "--format", "json"],
         ["plot", "--in", "{wire}", "--t0", "0", "--t1", "1"],
     ])
-    def test_output_to_devnull(self, argv, wire, capsys):
+    def test_output_to_devnull(self, argv, wire):
         # a character device: neither a regular file nor one with a size
         argv = [arg.format(wire=wire) for arg in argv]
-        code, stdout = _manifest_run(capsys, [*argv, "--out", os.devnull])
+        code, stdout, _ = in_process([*argv, "--out", os.devnull])
         assert code == 0
         assert json.loads(stdout)["outputs"] == [os.devnull]
 
@@ -606,7 +632,7 @@ class TestManifest:
         (3, ["plot", "--in", "{weak}", "--t0", "0", "--t1", "1"]),
     ])
     def test_failed_run_prints_nothing_and_writes_nothing(
-        self, code, argv, wire, tmp_path, capsys
+        self, code, argv, wire, tmp_path
     ):
         files = {
             "wire": wire,
@@ -620,10 +646,9 @@ class TestManifest:
         files["weak"].write_text(
             json.dumps({"matrix": {"diag": [1.0, 0.0], "offdiag": [1e-9]}})
         )
-        capsys.readouterr()
         out = tmp_path / "out"
         argv = [arg.format(**files) for arg in argv]
-        assert _manifest_run(capsys, [*argv, "--out", out]) == (code, "")
+        assert in_process([*argv, "--out", out])[:2] == (code, "")
         assert not out.exists()
 
 
@@ -657,7 +682,7 @@ class TestParser:
 if __name__ == "__main__":
     for name, construct_args in GOLDEN_DOCUMENTS.items():
         with tempfile.TemporaryDirectory() as workdir:
-            files = cli_transcript(construct_args, Path(workdir))
+            files = cli_transcript(in_process, construct_args, Path(workdir))
         target = GOLDEN_CLI / name
         target.mkdir(parents=True, exist_ok=True)
         for stale in target.iterdir():
@@ -669,5 +694,7 @@ if __name__ == "__main__":
     for name in MATRIX_ONLY_DOCUMENTS:
         with tempfile.TemporaryDirectory() as workdir:
             target = GOLDEN_MATRIX_ONLY / f"{name}.json"
-            target.write_bytes(matrix_only_analysis(GOLDEN_DOCUMENTS[name], Path(workdir)))
+            target.write_bytes(
+                matrix_only_analysis(in_process, GOLDEN_DOCUMENTS[name], Path(workdir))
+            )
         print(f"recorded {target}", file=sys.stderr)

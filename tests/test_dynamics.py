@@ -383,7 +383,7 @@ class TestDetectEse:
         # iterate stays where it started, finite and unconverged
         _, sd = four_site_data()
         times = np.array([-0.1, 0.0, 0.1])
-        t, converged = dynamics._newton_minimize(sd, times, np.array([1]), 1e-12)
+        t, converged = dynamics._newton_minimize(sd, times, np.array([1]), 1.0)
         assert t.tolist() == [0.0]
         assert converged.tolist() == [False]
 

@@ -326,11 +326,14 @@ class TestEigendecompose:
         if kind == "krawtchouk":
             wires = [krawtchouk_chain(N) for N in (1, 2, 3, 20, 39, 40)]
         else:
-            wires = random_wires(kind)
+            wires = random_wires(kind, 50)
         eps = np.finfo(float).eps
         for J in wires:
             lam = eigendecompose(J).eigenvalues
             scale = np.abs(lam).max()
+            # the stopping width is eps times the larger Gershgorin bound,
+            # which can exceed the scale: worst measured over the 50 draws
+            # 1.70 eps * scale (generic) and 1.75 (localized)
             assert np.abs(lam - plain_bisection(J)).max() <= 2 * eps * scale
 
     @pytest.mark.parametrize("k", [-250, -150, -100, -50, 50, 150, 200, 300])
