@@ -8,9 +8,11 @@ eigenvectors (the spectral weights): the site-0 amplitude is
 sum_s w_s exp(-i lambda_s t), and for mirror-symmetric (persymmetric)
 wires the site-N amplitude is the same sum with alternating signs.
 
-One pivot recurrence serves the whole eigensolver: the guarded LDL^T
-pivots of T - sigma I.  Eigenvalues are located by multisection on their
-sign count (the Sturm count).  Each starts from a narrow bracket about its
+The eigensolver runs on the LDL^T pivots of T - sigma I.  Eigenvalues are
+located by multisection on their sign count (the Sturm count), taken from
+the sign bits of unguarded pivots, as IEEE-754 arithmetic allows; the
+eigenvectors' twisted factorizations need the guarded pivots, which never
+divide by zero.  Each eigenvalue starts from a narrow bracket about its
 LAPACK value.  Each pass splits every open interval into ``_SECTIONS``
 equal parts and counts at all their interior shifts in one sweep over the
 sites.  The first pass counts only in a window of ``2 _WINDOW + 1`` of
@@ -255,7 +257,10 @@ def _pivots(diag, off2, shifts, pivmin) -> np.ndarray:
     for a flat array of shifts), so one sweep over the sites can also
     serve several matrices at once.  A pivot smaller in magnitude than
     ``pivmin`` is replaced by ``-pivmin``, so the recurrence never divides
-    by zero and a vanishing pivot counts as negative in the Sturm sequence.
+    by zero, which the ratios of ``_twisted_vectors`` need, and a
+    vanishing pivot counts as negative in the Sturm sequence.  Bisection
+    counts with ``_sturm_counts`` instead, unless a coupling is too weak
+    for it.
     """
     piv = np.subtract(diag, shifts)
     buf = np.empty_like(piv[0])
@@ -266,6 +271,28 @@ def _pivots(diag, off2, shifts, pivmin) -> np.ndarray:
         if np.minimum.reduce(np.abs(d, out=buf), axis=None) < pivmin:
             d[buf < pivmin] = -pivmin
     return piv
+
+
+def _sturm_counts(diag, off2, shifts, pivmin) -> np.ndarray:
+    """Sturm counts of T - sigma I per shift, from unguarded LDL^T pivots.
+
+    ``diag``, ``off2`` and ``shifts`` broadcast as in ``_pivots``.  Under
+    IEEE-754 a zero pivot gives an infinite next one and no guard is needed
+    (Marques, Riedy & Voemel 2006, as in LAPACK ``dlaneg``).  The guard
+    counts a pivot below ``pivmin`` in magnitude and makes the next one
+    large and positive.  The sign bit counts it only if it is negative, -0
+    included, and the next pivot is then +inf or large and positive, and
+    otherwise -inf or large and negative: the pair counts once either way.
+    Only the last pivot, which has no successor, keeps the guard's rule,
+    ``< pivmin``.
+    """
+    piv = np.subtract(diag, shifts)
+    buf = np.empty_like(piv[0])
+    with np.errstate(divide="ignore", over="ignore"):
+        for i in range(1, len(piv)):
+            np.divide(off2[i - 1], piv[i - 1], out=buf)
+            np.subtract(piv[i], buf, out=piv[i])
+    return np.count_nonzero(np.signbit(piv[:-1]), axis=0) + (piv[-1] < pivmin)
 
 
 def _sections(grid, counts, k):
@@ -292,9 +319,9 @@ def _bisect_eigenvalues(diag, off, off2, pivmin) -> np.ndarray:
 
     Multisection on the Sturm count (Lo, Philippe & Sameh 1987): each pass
     evaluates every open interval (lo, hi) at ``_SECTIONS - 1`` equally
-    spaced interior shifts in one ``_pivots`` call.  The new hi is the first
-    shift whose count reaches the eigenvalue's index and the new lo is the
-    shift just before it, so count(lo) < index <= count(hi) holds by
+    spaced interior shifts in one ``_sturm_counts`` call.  The new hi is the
+    first shift whose count reaches the eigenvalue's index and the new lo is
+    the shift just before it, so count(lo) < index <= count(hi) holds by
     construction and each pass narrows the interval ``_SECTIONS``-fold.
 
     When every guess is finite, the first pass counts only at its
@@ -316,6 +343,10 @@ def _bisect_eigenvalues(diag, off, off2, pivmin) -> np.ndarray:
     and a seeded bracket, 16 n atol wide, stops after about 2 passes.
     Intervals that can no longer be split in floating point also stop, and
     the pass budget bounds the loop.
+
+    A solve with a coupling too weak for the sign-bit count, one whose
+    square underflows or nearly, takes every count from the guarded
+    ``_pivots`` instead.
     """
     n = diag.size
     radius = np.zeros(n)
@@ -335,20 +366,28 @@ def _bisect_eigenvalues(diag, off, off2, pivmin) -> np.ndarray:
     lo = np.where(seeded, guess - 8 * n * atol, glo - pad)
     hi = np.where(seeded, guess + 8 * n * atol, ghi + pad)
     sites = diag[:, None, None], off2[:, None, None]
+    # The IEEE count needs a pivot below pivmin to make the next one -b^2/d
+    # to working precision, so b^2 / pivmin must exceed every |a - sigma|,
+    # at most ghi - glo + 2 pad, by 1/eps.  A smaller b^2 (one that
+    # underflows in the unit frame) counts with the guard, in every sweep.
+    if off2.min() * eps < pivmin * (ghi - glo + 2 * pad):
+        def count(shifts):
+            return np.count_nonzero(_pivots(*sites, shifts, pivmin) < 0.0, axis=0)
+    else:
+        def count(shifts):
+            return _sturm_counts(*sites, shifts, pivmin)
     fractions = np.arange(1, _SECTIONS)[:, None] / _SECTIONS
     missed = np.arange(n)
     if seeded.all():
         centre = _SECTIONS // 2 - 1  # the guess's row in fractions
         grid = lo + fractions[centre - _WINDOW:centre + _WINDOW + 1] * (hi - lo)
-        counts = np.count_nonzero(_pivots(*sites, grid, pivmin) < 0.0, axis=0)
-        held, a, b = _sections(grid, counts, want)
+        held, a, b = _sections(grid, count(grid), want)
         lo, hi = np.where(held, a, lo), np.where(held, b, hi)
         missed = np.nonzero(~held)[0]
     if missed.size:
         a, b, k = lo[missed], hi[missed], want[missed]
         grid = np.vstack([a, a + fractions * (b - a), b])
-        counts = np.count_nonzero(_pivots(*sites, grid, pivmin) < 0.0, axis=0)
-        held, a, b = _sections(grid, counts, k)
+        held, a, b = _sections(grid, count(grid), k)
         lo[missed] = np.where(held, a, glo - pad)
         hi[missed] = np.where(held, b, ghi + pad)
     for _ in range(_BISECT_MAX_ITER):
@@ -362,8 +401,7 @@ def _bisect_eigenvalues(diag, off, off2, pivmin) -> np.ndarray:
         # count(a) < k <= count(b) by construction
         counts = np.empty(grid.shape, dtype=int)
         counts[0], counts[-1] = k - 1, k
-        pivots = _pivots(*sites, grid[1:-1], pivmin)
-        counts[1:-1] = np.count_nonzero(pivots < 0.0, axis=0)
+        counts[1:-1] = count(grid[1:-1])
         _, lo[active], hi[active] = _sections(grid, counts, k)
     return 0.5 * (lo + hi)
 
@@ -447,9 +485,11 @@ def eigendecompose(J: JacobiMatrix) -> SpectralData:
     seeded by LAPACK, in about 2 sweeps over the sites: the first counts
     only in a window of 9 shifts about each LAPACK value, and a bracket
     the window misses takes the whole first pass, with its check, in one
-    more sweep.  Eigenvectors come from twisted factorization in one more
-    sweep; weights are the squared first components, renormalized to sum
-    to exactly 1.
+    more sweep.  The counts come from the sign bits of unguarded pivots,
+    or from guarded ones where a coupling's square underflows.
+    Eigenvectors come from twisted factorization, on guarded pivots, in
+    one more sweep; weights are the squared first components, renormalized
+    to sum to exactly 1.
     Couplings > 0 guarantee the spectrum is simple, and a computed gap below
     the simplicity tolerance raises :class:`EigensolverError` with the
     offending index.  The wire is solved once per instance; later calls, and

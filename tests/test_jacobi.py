@@ -1,5 +1,6 @@
 """Core types, eigensolver, and boundary amplitude evaluation."""
 
+import contextlib
 import math
 import re
 import tracemalloc
@@ -224,22 +225,144 @@ def to_dense(J):
     return np.diag(J.diag) + np.diag(J.offdiag, 1) + np.diag(J.offdiag, -1)
 
 
-def count_calls(monkeypatch, name):
-    """Record the arguments of every call of the private jacobi helper ``name``."""
+def count_calls(monkeypatch, *names):
+    """Record, in one list, the arguments of every call of the private jacobi
+    helpers ``names``."""
     calls = []
-    original = getattr(jacobi, name)
+    for name in names:
+        original = getattr(jacobi, name)
 
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
+        def counting(*args, original=original):
+            calls.append(args)
+            return original(*args)
 
-    monkeypatch.setattr(jacobi, name, counting)
+        monkeypatch.setattr(jacobi, name, counting)
     return calls
 
 
 def four_site_example():
     b = math.sqrt(15.0) / 2.0
     return JacobiMatrix(diag=np.zeros(4), offdiag=[b, 1.0, b])
+
+
+def guarded_counts(diag, off2, shifts, pivmin):
+    """Sturm counts from the guarded pivots of ``jacobi._pivots``."""
+    return np.count_nonzero(jacobi._pivots(diag, off2, shifts, pivmin) < 0.0, axis=0)
+
+
+def unit_frame(J, monkeypatch):
+    """The arguments of the solver's ``_bisect_eigenvalues`` call on J, and
+    every shift it passed ``_sturm_counts`` (none where it counted with the
+    guard)."""
+    with monkeypatch.context() as patch:
+        frames = count_calls(patch, "_bisect_eigenvalues")
+        sturm = count_calls(patch, "_sturm_counts")
+        with contextlib.suppress(EigensolverError):
+            _eigensystem(J)
+    return frames[0], np.concatenate([np.ravel(args[2]) for args in sturm] or [[]])
+
+
+def ulp_neighbours(values, steps=4):
+    """``values`` and the floats 1 to ``steps`` ulps below and above them."""
+    out = [values]
+    for direction in (-np.inf, np.inf):
+        near = values
+        for _ in range(steps):
+            near = np.nextafter(near, direction)
+            out.append(near)
+    return np.concatenate(out)
+
+
+def bracket_ends(diag, off):
+    """The solver's seeded bracket ends, guess -+ 8 n atol, and its padded
+    Gershgorin interval."""
+    radius = np.zeros(diag.size)
+    radius[:-1] += off
+    radius[1:] += off
+    glo, ghi = np.min(diag - radius), np.max(diag + radius)
+    atol = np.finfo(float).eps * max(abs(glo), abs(ghi))
+    pad = 1e-3 * (ghi - glo)
+    guess = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    reach = 8 * diag.size * atol
+    return np.concatenate([guess - reach, guess + reach, [glo - pad, ghi + pad]])
+
+
+def ieee_pivots(diag, off2, shift):
+    """Unguarded LDL^T pivots of T - shift I, one site at a time."""
+    piv = np.subtract(diag, shift)
+    with np.errstate(divide="ignore", over="ignore"):
+        for i in range(1, diag.size):
+            piv[i] -= off2[i - 1] / piv[i - 1]
+    return piv
+
+
+SUBNORMAL = np.finfo(float).tiny / 1024
+
+
+def planted(diag, off2, site, value):
+    """A copy of ``diag`` whose unguarded pivot at ``site`` is ``value`` at
+    shift 0, or None where this construction has no way to make it.
+
+    Site 0 takes any value, and +0 takes a_site = b^2 / d of a non-zero
+    pivot before, as x - x = +0.  After an infinite pivot the next one is
+    a_site itself, but -0 only after +inf: a planted +0 makes the next
+    pivot -inf, and a planted -0 or negative subnormal makes it +inf.
+    """
+    if site == 0:
+        diag = diag.copy()
+    elif value == 0.0 and not np.signbit(value):
+        before = ieee_pivots(diag, off2, 0.0)[site - 1]
+        if not before:
+            return None
+        diag = diag.copy()
+        value = off2[site - 1] / before
+    elif site == 1:
+        return None
+    elif value != 0.0:
+        diag = planted(diag, off2, site - 2, 0.0)
+    else:
+        diag = planted(diag, off2, site - 2, -0.0 if site % 2 == 0 else -SUBNORMAL)
+    if diag is not None:
+        diag[site] = value
+    return diag
+
+
+def two_site_wires():
+    rng = np.random.default_rng(3)
+    for scale in (1e-3, 1.0, 1e3):
+        yield JacobiMatrix(diag=[scale, scale], offdiag=[scale])
+        for _ in range(3):
+            yield JacobiMatrix(
+                diag=scale * rng.uniform(-1.0, 1.0, size=2),
+                offdiag=scale * rng.uniform(0.1, 1.0, size=1),
+            )
+
+
+def counted_wires(kind):
+    if kind == "krawtchouk":
+        return [krawtchouk_chain(N) for N in range(1, 41)]
+    if kind == "two-site":
+        return list(two_site_wires())
+    return list(random_wires(kind))
+
+
+def underflowing_wires(coupling):
+    """4-site wires, zero diagonal or not, with ``coupling`` first, in the
+    middle or last and the other couplings 1."""
+    for position in range(3):
+        for diag in ([0.0] * 4, [0.3, -0.7, 1.1, 0.2], [1.0, 0.0, 0.0, 1.0]):
+            off = [1.0] * 3
+            off[position] = coupling
+            yield JacobiMatrix(diag=diag, offdiag=off)
+
+
+def outcome(J):
+    """The solve's bits, or its error's class, index and message."""
+    try:
+        sd, vectors = _eigensystem(J)
+    except EigensolverError as error:
+        return type(error), error.index, str(error)
+    return sd.eigenvalues.tobytes(), sd.weights.tobytes(), vectors.tobytes()
 
 
 class TestJacobiMatrix:
@@ -381,7 +504,7 @@ class TestEigendecompose:
             wires = [krawtchouk_chain(case)]
         else:
             wires = random_wires(case)
-        calls = count_calls(monkeypatch, "_pivots")
+        calls = count_calls(monkeypatch, "_sturm_counts", "_pivots")
         for J in wires:
             calls.clear()
             _eigensystem(J)
@@ -411,9 +534,9 @@ class TestEigendecompose:
         # every window misses, so each bracket takes the whole first pass
         # in a sweep of its own, holds there and then joins pass 2: one
         # sweep more than a seed inside the window, and no other bit (a
-        # 2-site wire needs no pass 2, the reference solver no _pivots)
+        # 2-site wire needs no pass 2, the reference solver neither helper)
         corrupt_eigvalsh(monkeypatch, "nudged")
-        calls = count_calls(monkeypatch, "_pivots")
+        calls = count_calls(monkeypatch, "_sturm_counts", "_pivots")
         for J in fallback_wires():
             calls.clear()
             assert_matches_five_sweep_solver(J, monkeypatch)
@@ -427,7 +550,7 @@ class TestEigendecompose:
         # guess when LAPACK fails; their brackets restart from the
         # Gershgorin interval, which costs passes but no accuracy
         corrupt_eigvalsh(monkeypatch, corruption)
-        calls = count_calls(monkeypatch, "_pivots")
+        calls = count_calls(monkeypatch, "_sturm_counts", "_pivots")
         eps = np.finfo(float).eps
         for J in fallback_wires():
             calls.clear()
@@ -526,6 +649,74 @@ class TestEigendecompose:
         with pytest.raises(EigensolverError) as info:
             eigendecompose(JacobiMatrix(diag=diag, offdiag=off))
         assert info.value.index is not None
+
+
+class TestSturmCounts:
+    @pytest.mark.parametrize("kind", ["krawtchouk", *DRAWS, "two-site"])
+    def test_matches_guarded_count(self, kind, monkeypatch):
+        # in the solver's unit frame: every shift it counts at, each
+        # eigenvalue and its neighbours 1-4 ulps away, the bracket ends and
+        # exact 0 (an eigenvalue of the odd-size Krawtchouk chains, whose
+        # last pivot is then +0)
+        for J in counted_wires(kind):
+            (diag, off, off2, pivmin), shifts = unit_frame(J, monkeypatch)
+            assert shifts.size
+            mu = jacobi._bisect_eigenvalues(diag, off, off2, pivmin)
+            shifts = np.concatenate(
+                [shifts, ulp_neighbours(mu), bracket_ends(diag, off), [0.0]]
+            )
+            args = diag[:, None], off2[:, None], shifts, pivmin
+            assert np.array_equal(jacobi._sturm_counts(*args), guarded_counts(*args))
+
+    @pytest.mark.parametrize("kind", ["krawtchouk", *DRAWS, "two-site"])
+    def test_matches_guarded_count_at_planted_pivots(self, kind, monkeypatch):
+        # shift 0 on diagonals changed so that a pivot before the last is
+        # +0, -0 or a subnormal of either sign: the guard counts it and
+        # makes the next pivot large and positive, the sign bit counts it
+        # only when negative and the next pivot's sign makes up for it
+        kinds = set()
+        for J in counted_wires(kind):
+            (diag, _, off2, pivmin), _ = unit_frame(J, monkeypatch)
+            for site in range(diag.size - 1):
+                for value in (0.0, -0.0, SUBNORMAL, -SUBNORMAL):
+                    d = planted(diag, off2, site, value)
+                    if d is None:
+                        continue
+                    pivot = ieee_pivots(d, off2, 0.0)[site]
+                    if pivot != value or np.signbit(pivot) != np.signbit(value):
+                        continue
+                    kinds.add((value, bool(np.signbit(value)), site > 0))
+                    args = d[:, None], off2[:, None], np.zeros(1), pivmin
+                    assert np.array_equal(
+                        jacobi._sturm_counts(*args), guarded_counts(*args)
+                    )
+        # every value was planted at site 0 and, beyond 2 sites, at a later one
+        assert len(kinds) == (4 if kind == "two-site" else 8)
+
+    @pytest.mark.parametrize("coupling", [1e-160, 1e-200, 1e-300])
+    def test_underflowing_coupling_counts_with_the_guard(self, coupling, monkeypatch):
+        # in the unit frame b^2 of 1e-160 is subnormal and of 1e-200 and
+        # 1e-300 zero, where an unguarded pivot can be 0/0: every sweep
+        # counts with the guard, and the outcome, mostly an error here, is
+        # that of the reference solver
+        for J in underflowing_wires(coupling):
+            _, shifts = unit_frame(J, monkeypatch)
+            assert not shifts.size
+            ref = outcome(J)
+            with monkeypatch.context() as patch:
+                patch.setattr(jacobi, "_bisect_eigenvalues", five_sweep_bisection)
+                patch.setattr(jacobi, "_twisted_vectors", loop_twisted_vectors)
+                assert outcome(J) == ref
+
+    def test_underflowing_coupling_keeps_its_error(self):
+        # an unguarded count would report the gap as 4.441e-16
+        J = JacobiMatrix(diag=np.zeros(4), offdiag=[1.0, 1e-200, 1.0])
+        message = (
+            "eigenvalue 1 is numerically degenerate (gap 0.000e+00 at scale 1.000e+00)"
+        )
+        with pytest.raises(EigensolverError, match=re.escape(message)) as info:
+            eigendecompose(J)
+        assert info.value.index == 1
 
 
 class TestSolveOnce:
