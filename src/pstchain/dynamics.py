@@ -92,12 +92,13 @@ class PstCertificate:
             return
         if self.transfer_time is None or self.gap_odd_integers is None:
             raise ValueError("a positive certificate needs T0 and odd integers")
-        gaps = np.diff(np.asarray(self.eigenvalues))
+        lam = np.asarray(self.eigenvalues)
+        gaps = lam[1:] - lam[:-1]
         target = (2 * np.asarray(self.gap_odd_integers) + 1) * (
             math.pi / self.transfer_time
         )
         # Sanity bound at the loosest detection tolerance.
-        if np.any(np.abs(gaps - target) > _PST_TOL_CAP * gaps):
+        if (np.abs(gaps - target) > _PST_TOL_CAP * gaps).any():
             raise ValueError("gap structure inconsistent with the certificate")
 
 
@@ -160,7 +161,7 @@ def detect_pst(req: SpectrumRequest, tol: float = _PST_TOL) -> PstCertificate:
         raise ValueError(f"tol must lie in (0, {_PST_TOL_CAP:g}]")
     lam = req.eigenvalues
     spectrum = tuple(lam.tolist())
-    gaps = np.diff(lam)
+    gaps = lam[1:] - lam[:-1]
     g_min = float(gaps.min())
     start, rows = 0, _PST_FIRST_BLOCK
     while start <= _ODD_CAP:
@@ -168,11 +169,11 @@ def detect_pst(req: SpectrumRequest, tol: float = _PST_TOL) -> PstCertificate:
         # candidates j = start .. stop - 1, divided by 2j + 1
         delta = g_min / np.arange(2 * start + 1, 2 * stop, 2.0)
         ratios = gaps / delta[:, None]
-        odd = np.maximum(2.0 * np.round(0.5 * (ratios - 1.0)) + 1.0, 1.0)
+        odd = np.maximum(2.0 * np.rint(0.5 * (ratios - 1.0)) + 1.0, 1.0)
         # the ratios grow with j, so the capped rows close the block
         capped = odd.max(axis=1) > 2 * _ODD_CAP + 1
         feasible = (np.abs(ratios - odd) <= tol * ratios).all(axis=1) & ~capped
-        hits = np.flatnonzero(feasible)
+        hits = feasible.nonzero()[0]
         if hits.size:
             row = hits[0]
             transfer_time = math.pi / float(delta[row])
@@ -222,18 +223,22 @@ def _newton_minimize(
     t, lo, hi = times[index], times[index - 1], times[index + 1]
     converged = np.zeros(t.size, dtype=bool)
     live = np.arange(t.size)
-    for _ in range(_REFINE_MAX_ITER):
-        if live.size == 0:
-            break
-        x, dx, ddx = _spectral_sum(sd, t[live], coefficients).T
-        curvature = np.abs(dx) ** 2 + (x.conj() * ddx).real
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            step = (x.conj() * dx).real / curvature
-        ok = (curvature > 0.0) & np.isfinite(step)
-        moving = live[ok]
-        t[moving] = np.clip(t[moving] - step[ok], lo[moving], hi[moving])
-        converged[live[ok & (np.abs(step) <= width_tol)]] = True
-        live = live[ok & (np.abs(step) > width_tol)]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(_REFINE_MAX_ITER):
+            if live.size == 0:
+                break
+            x, dx, ddx = _spectral_sum(sd, t[live], coefficients).T
+            x_bar = x.conj()
+            curvature = np.abs(dx) ** 2 + (x_bar * ddx).real
+            step = (x_bar * dx).real / curvature
+            ok = (curvature > 0.0) & np.isfinite(step)
+            moving = live[ok]
+            t[moving] = np.minimum(
+                np.maximum(t[moving] - step[ok], lo[moving]), hi[moving]
+            )
+            small = np.abs(step) <= width_tol
+            converged[live[ok & small]] = True
+            live = live[ok & ~small]
     return t, converged
 
 
@@ -271,7 +276,7 @@ def detect_ese(sd: SpectralData, cert: PstCertificate) -> EseReport:
     eps = 1e-6 * transfer_time
     times, f2 = _scan(sd, eps, transfer_time - eps)
     resolution = float(times[1] - times[0])
-    minima = np.nonzero((f2[1:-1] <= f2[:-2]) & (f2[1:-1] <= f2[2:]))[0] + 1
+    minima = ((f2[1:-1] <= f2[:-2]) & (f2[1:-1] <= f2[2:])).nonzero()[0] + 1
     edge = np.sqrt(np.maximum(f2[minima - 1], f2[minima + 1]))
     kept = minima[edge >= _NOISE_CLEARANCE]
     t_star, converged = _newton_minimize(sd, times, kept, transfer_time)

@@ -7,7 +7,8 @@ middle gap 2m+1; their boundary amplitude is a short Chebyshev series in
 cos(t/2), a ``numpy.polynomial.Chebyshev``, which is where the sign-change
 counting lives.  The count samples the series on an exactly antisymmetric
 grid of 8192 points and evaluates its even and odd parts separately, each
-as a series in T_2 on the positive half of the grid.
+as a series in T_2 on the positive half of the grid.  That grid, with the
+recurrence's abscissae on it, is built once, at import, as read-only arrays.
 """
 
 from __future__ import annotations
@@ -15,13 +16,26 @@ from __future__ import annotations
 import numpy as np
 
 from .inverse import SpectrumRequest
-from .jacobi import _NOISE_CLEARANCE, MAX_SITES, JacobiMatrix, SpectralData
+from .jacobi import (
+    _NOISE_CLEARANCE,
+    MAX_SITES,
+    JacobiMatrix,
+    SpectralData,
+    _readonly,
+)
 
 # Eigenvalues must sit on odd half-integers this tightly for the cosine
 # polynomial form; constructed spectra are exact, so only parse noise passes.
 _HALF_INTEGER_ATOL = 1e-9
 
 _WEIGHT_SYMMETRY_ATOL = 1e-8
+
+# The 4096 positive samples y = (2k+1)/8193 of the sign-change grid, the
+# abscissa x = T_2(y) of its half-degree recurrences, 2x and V_1(x) = 2x - 1.
+_Y = _readonly(np.arange(1.0, 8193.0, 2.0) / 8193.0)
+_X = _readonly(2.0 * _Y * _Y - 1.0)
+_TWO_X = _readonly(2.0 * _X)
+_V1 = _readonly(2.0 * _X - 1.0)
 
 
 def krawtchouk_chain(N: int) -> JacobiMatrix:
@@ -109,14 +123,13 @@ def amplitude_as_chebyshev(sd: SpectralData) -> np.polynomial.Chebyshev:
     return np.polynomial.Chebyshev(coef)
 
 
-def _clenshaw(coef, x: np.ndarray, first: np.ndarray) -> np.ndarray:
+def _clenshaw(coef, two_x: np.ndarray, first: np.ndarray) -> np.ndarray:
     """sum_i coef[i] P_i(x), with P_0 = 1, P_1 = ``first``, P_i+1 = 2x P_i - P_i-1.
 
-    One Clenshaw recurrence in place, b_i = coef[i] + 2x b_i+1 - b_i+2,
-    ending in coef[0] + first b_1 - b_2.
+    One Clenshaw recurrence in place on ``two_x`` = 2x, b_i = coef[i] + 2x
+    b_i+1 - b_i+2, ending in coef[0] + first b_1 - b_2.
     """
-    two_x = 2.0 * x
-    b1, b2, tmp = np.zeros_like(x), np.zeros_like(x), np.empty_like(x)
+    b1, b2, tmp = np.zeros(two_x.shape), np.zeros(two_x.shape), np.empty(two_x.shape)
     for a in coef[:0:-1]:
         np.multiply(two_x, b1, out=tmp)
         np.subtract(tmp, b2, out=b2)
@@ -138,15 +151,13 @@ def _grid_values(coef: np.ndarray) -> np.ndarray:
     Each nonzero part takes one Clenshaw recurrence of half the degree on
     the 4096 positive samples, and c(-y) = E(x) - y O(x) gives the rest.
     """
-    y = np.arange(1.0, 8193.0, 2.0) / 8193.0
-    x = 2.0 * y * y - 1.0
     even, odd = coef[::2], coef[1::2]
-    half = _clenshaw(even, x, x) if np.any(even) else np.zeros_like(y)
+    half = _clenshaw(even, _TWO_X, _X) if even.any() else np.zeros(_Y.shape)
     values = np.concatenate([half[::-1], half])
-    if np.any(odd):
-        half = y * _clenshaw(odd, x, 2.0 * x - 1.0)
-        values[: y.size] -= half[::-1]
-        values[y.size :] += half
+    if odd.any():
+        half = _Y * _clenshaw(odd, _TWO_X, _V1)
+        values[: _Y.size] -= half[::-1]
+        values[_Y.size :] += half
     return values
 
 
@@ -154,10 +165,11 @@ def count_sign_changes(c: np.polynomial.Chebyshev) -> int:
     """Sign changes of the series over 8192 uniform samples inside (-1, 1).
 
     The samples are +-(2k+1)/8193 for k = 0..4095, exactly antisymmetric,
-    so the endpoints are excluded exactly.  The series is evaluated by its
-    even and odd parts, each a recurrence of half the degree on the
-    positive half of the grid.  A series on another domain or window, or
-    in another basis, is converted first, so the same function is sampled.
+    so the endpoints are excluded exactly; the grid is built once, at
+    import.  The series is evaluated by its even and odd parts, each a
+    recurrence of half the degree on the positive half of the grid.  A
+    series on another domain or window, or in another basis, is converted
+    first, so the same function is sampled.
 
     Samples at or below the cancellation floor, the noise clearance times
     the sum of |A_j| in ascending degree, are dropped, since round-off
@@ -166,7 +178,7 @@ def count_sign_changes(c: np.polynomial.Chebyshev) -> int:
     """
     floor = _NOISE_CLEARANCE * sum(abs(a) for a in c.coef.tolist())
     chebyshev = np.polynomial.Chebyshev
-    if isinstance(c, chebyshev) and np.array_equal(c.domain, c.window):
+    if isinstance(c, chebyshev) and (c.domain == c.window).all():
         coef = c.coef
     else:
         coef = c.convert(kind=chebyshev).coef

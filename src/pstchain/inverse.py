@@ -55,8 +55,8 @@ class SpectrumRequest:
         # exponentiated only after normalization.
         lam = self.eigenvalues
         diffs = lam[:, None] - lam[None, :]
-        np.fill_diagonal(diffs, 1.0)
-        logw = -np.sum(np.log(np.abs(diffs)), axis=1)
+        diffs.flat[:: lam.size + 1] = 1.0
+        logw = -np.log(np.abs(diffs)).sum(axis=1)
         logw -= logw.max()
         w = np.exp(logw)
         w /= w.sum()

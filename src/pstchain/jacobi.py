@@ -117,10 +117,10 @@ def _spectrum(values) -> np.ndarray:
         raise ValueError(
             f"spectrum size must be between 2 and {MAX_SITES}, got {lam.size}"
         )
-    if not np.all(np.isfinite(lam)):
+    if not np.isfinite(lam).all():
         raise ValueError("eigenvalues must be finite")
     scale = float(np.abs(lam).max())
-    if not np.all(np.diff(lam) > GAP_RTOL * scale):
+    if not ((lam[1:] - lam[:-1]) > GAP_RTOL * scale).all():
         raise ValueError(
             "eigenvalues must be strictly increasing with gaps above "
             f"{GAP_RTOL} of the spectral scale"
@@ -149,9 +149,9 @@ class JacobiMatrix:
             )
         if off.size != diag.size - 1:
             raise ValueError("offdiag must be exactly one entry shorter than diag")
-        if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
+        if not (np.isfinite(diag).all() and np.isfinite(off).all()):
             raise ValueError("matrix entries must be finite")
-        if not np.all(off > 0.0):
+        if not (off > 0.0).all():
             raise ValueError("all couplings must be strictly positive")
         object.__setattr__(self, "diag", diag)
         object.__setattr__(self, "offdiag", off)
@@ -183,9 +183,9 @@ class SpectralData:
         w = _readonly(self.weights)
         if w.size != lam.size:
             raise ValueError("eigenvalues and weights must have equal length")
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             raise ValueError("weights must be finite")
-        if not np.all((w > 0.0) & (w < 1.0)):
+        if not ((w > 0.0) & (w < 1.0)).all():
             raise ValueError("weights must lie strictly inside (0, 1)")
         if abs(float(w.sum()) - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1 within 1e-12")
@@ -237,7 +237,7 @@ class AmplitudeSeries:
         xN = _readonly(self.xN, dtype=complex)
         if times.size < 2 or x0.size != times.size or xN.size != times.size:
             raise ValueError("times, x0 and xN must share a length of at least 2")
-        if not np.all(np.diff(times) > 0.0):
+        if not ((times[1:] - times[:-1]) > 0.0).all():
             raise ValueError("times must be strictly increasing")
         bound = 1.0 + _UNITARITY_SLACK
         if np.abs(x0).max() > bound or np.abs(xN).max() > bound:
@@ -460,9 +460,12 @@ def _eigensystem(J: JacobiMatrix) -> tuple[SpectralData, np.ndarray]:
     tight = np.nonzero(gaps <= GAP_RTOL * scale)[0]
     if tight.size:
         bad = int(tight[0]) + 1
+        # the brackets of an exact double eigenvalue can stop at crossed
+        # midpoints; a computed gap below 0 is reported as 0
+        gap = max(0.0, float(gaps[tight[0]]))
         raise EigensolverError(
             f"eigenvalue {bad} is numerically degenerate "
-            f"(gap {gaps[tight[0]]:.3e} at scale {scale:.3e})",
+            f"(gap {gap:.3e} at scale {scale:.3e})",
             index=bad,
         )
     vectors = _twisted_vectors(diag, off, off2, mu, pivmin)
@@ -566,7 +569,11 @@ def _spectral_sum(sd: SpectralData, times, coefficients) -> np.ndarray:
 def _grid_sum(
     sd: SpectralData, t0: float, t1: float, n: int, coefficients
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The grid ``np.linspace(t0, t1, n)``, n >= 2, and ``_spectral_sum`` on it.
+    """A uniform grid from t0 to t1, n >= 2, and ``_spectral_sum`` on it.
+
+    The grid equals ``np.linspace(t0, t1, n)`` bit for bit, built by the
+    same operations (t0 + j h with h = (t1 - t0)/(n - 1), numpy's scaling by
+    j/(n - 1) where h underflows to 0, and t1 itself as the last point).
 
     With step h, B = ceil(sqrt(n)) and j = B q + r, the centred phase factors
     as exp(-i mu t_j) = exp(-i mu (t0 + B q h)) exp(-i mu r h), so the n sums
@@ -580,7 +587,16 @@ def _grid_sum(
         raise GridBudgetError(
             f"a grid of {n} points exceeds the budget of {_MAX_GRID_POINTS}"
         )
-    times, step = np.linspace(t0, t1, n, retstep=True)
+    span = t1 - t0
+    step = span / (n - 1)
+    times = np.arange(n, dtype=float)
+    if step == 0.0:
+        times /= n - 1
+        times *= span
+    else:
+        times *= step
+    times += t0
+    times[-1] = t1
     c, lam = sd._centred
     block = math.isqrt(n - 1) + 1
     rows = -(-n // block)
@@ -641,16 +657,15 @@ def amplitude_series(
     t0, t1, steps = float(t0), float(t1), int(steps)
     if not _finite_phases(sd, abs(t0) + abs(t1)):
         raise ValueError(f"t0 = {t0!r}, t1 = {t1!r} give non-finite phases")
-    coefficients = np.stack(
-        [_boundary_coefficients(sd, "first"), _boundary_coefficients(sd, "last")],
-        axis=1,
-    )
+    coefficients = np.empty((sd.n_sites, 2))
+    coefficients[:, 0] = sd.weights
+    coefficients[:, 1] = sd._last
     times, values = _grid_sum(sd, t0, t1, steps, coefficients)
     values = np.ascontiguousarray(values)
     floor = _NOISE_CLEARANCE * np.abs(coefficients).sum(axis=0)
     # each row of parts is Re x_0, Im x_0, Re x_N, Im x_N
     parts = values.view(float)
-    parts[np.abs(parts) <= np.repeat(floor, 2)] = 0.0
+    parts[np.abs(parts) <= floor.repeat(2)] = 0.0
     return AmplitudeSeries(times=times, x0=values[:, 0], xN=values[:, 1])
 
 

@@ -450,3 +450,26 @@ class TestSignChangeGolden:
                 wrong.append((case, count))
         assert len(self.golden["random"]) == 100
         assert not wrong, wrong
+
+    def test_grid_constants_are_read_only(self):
+        # the sign-count abscissae are built once, at import, and shared
+        y = np.arange(1.0, 8193.0, 2.0) / 8193.0
+        x = 2.0 * y * y - 1.0
+        built = {"_Y": y, "_X": x, "_TWO_X": 2.0 * x, "_V1": 2.0 * x - 1.0}
+        for name, expected in built.items():
+            constant = getattr(families, name)
+            assert not constant.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                constant[0] = 0.0
+        cases = [
+            (amplitude_as_chebyshev(persymmetric_weights(named_request(case))),
+             case["sign_changes"])
+            for case in self.golden["named"]
+        ] + [
+            (combination(case["low"], case["coefficients"]), case["sign_changes"])
+            for case in self.golden["random"]
+        ]
+        wrong = [(c, n) for c, n in cases if count_sign_changes(c) != n]
+        assert not wrong, wrong
+        for name, expected in built.items():
+            assert getattr(families, name).tobytes() == expected.tobytes(), name

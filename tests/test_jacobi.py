@@ -709,14 +709,23 @@ class TestSturmCounts:
                 assert outcome(J) == ref
 
     def test_underflowing_coupling_keeps_its_error(self):
-        # an unguarded count would report the gap as 4.441e-16
-        J = JacobiMatrix(diag=np.zeros(4), offdiag=[1.0, 1e-200, 1.0])
-        message = (
-            "eigenvalue 1 is numerically degenerate (gap 0.000e+00 at scale 1.000e+00)"
-        )
-        with pytest.raises(EigensolverError, match=re.escape(message)) as info:
-            eigendecompose(J)
-        assert info.value.index == 1
+        # an unguarded count would report the first wire's gap as 4.441e-16;
+        # the others have an exact double eigenvalue 0 whose two brackets
+        # stop at crossed midpoints, a negative computed gap reported as 0
+        for offdiag, index, scale in (
+            ([1.0, 1e-200, 1.0], 1, "1.000e+00"),
+            ([1e-200, 1.0, 1.0], 2, "1.414e+00"),
+            ([1.0, 1.0, 1e-200], 2, "1.414e+00"),
+            ([1e-300, 1.0, 1.0], 2, "1.414e+00"),
+        ):
+            J = JacobiMatrix(diag=np.zeros(4), offdiag=offdiag)
+            message = (
+                f"eigenvalue {index} is numerically degenerate "
+                f"(gap 0.000e+00 at scale {scale})"
+            )
+            with pytest.raises(EigensolverError, match=re.escape(message)) as info:
+                eigendecompose(J)
+            assert info.value.index == index
 
 
 class TestSolveOnce:
@@ -856,9 +865,9 @@ class TestAmplitude:
 class TestGridSum:
     """The factored uniform-grid kernel against the direct spectral sum."""
 
-    # 7297 is the gap (20, 9) ESE scan; the others are a small grid, a
-    # perfect square, a square + 1 and a prime
-    @pytest.mark.parametrize("n", [16, 1024, 1025, 997, 7297])
+    # 7297 is the gap (20, 9) ESE scan; the others are the two smallest
+    # grids, a small grid, a perfect square, a square + 1 and a prime
+    @pytest.mark.parametrize("n", [2, 3, 16, 1024, 1025, 997, 7297])
     @pytest.mark.parametrize("shift", [0.0, 1e7])
     def test_matches_spectral_sum(self, n, shift):
         sd = persymmetric_weights(
@@ -887,6 +896,29 @@ class TestGridSum:
                 * max(1.0, np.abs(mu).max() * t1)
             )
             assert np.all(np.abs(got - expected) <= bound)
+
+    @pytest.mark.parametrize(
+        "t0,t1,n",
+        [
+            (0.0, math.pi, 2),
+            (0.0, math.pi, 3),
+            (1e-6 * math.pi, (1.0 - 1e-6) * math.pi, 7297),
+            (-2.5, 7.9, 3),
+            (-2.5, 7.9, 1025),
+            (-7.9, -2.5, 101),
+            # the step underflows to 0: numpy scales j/(n - 1) by the span
+            (0.0, 5e-324, 3),
+            (-5e-324, 5e-324, 5),
+            (1e-320, 1.5e-320, 4097),
+        ],
+    )
+    def test_grid_is_linspace(self, t0, t1, n):
+        sd = persymmetric_weights(gap_family_spectrum(3, 2))
+        grid, values = jacobi._grid_sum(sd, t0, t1, n, sd.weights)
+        expected = np.linspace(t0, t1, n)
+        assert grid.dtype == expected.dtype
+        assert grid.tobytes() == expected.tobytes()
+        assert values.shape == (n,)
 
 
 class TestAmplitudeSeries:
