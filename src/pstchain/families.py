@@ -6,12 +6,18 @@ cos^N(t/2).  Gap-family spectra are symmetric with unit gaps except an odd
 middle gap 2m+1; their boundary amplitude is a short Chebyshev series in
 cos(t/2), a ``numpy.polynomial.Chebyshev``, which is where the sign-change
 counting lives.  The count samples the series on an exactly antisymmetric
-grid of 8192 points and evaluates its even and odd parts separately, each
-as a series in T_2 on the positive half of the grid.  That grid, with the
-recurrence's abscissae on it, is built once, at import, as read-only arrays.
+grid of 8192 points and evaluates its even and odd parts separately on the
+positive half of the grid.  An odd part of degree up to 127 is one matrix
+product with a table of T_1, T_3, ..., T_127 at those samples; an even
+part, or an odd one of higher degree, is a recurrence in T_2 of half the
+degree.  An odd series is counted on the positive half alone.  The grid
+and the recurrence's abscissae are built once, at import, and the 2 MiB
+table on the first count; all are read-only arrays.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -36,6 +42,9 @@ _Y = _readonly(np.arange(1.0, 8193.0, 2.0) / 8193.0)
 _X = _readonly(2.0 * _Y * _Y - 1.0)
 _TWO_X = _readonly(2.0 * _X)
 _V1 = _readonly(2.0 * _X - 1.0)
+
+# Odd parts with at most this many terms, degree up to 127, take the table.
+_TABLE_TERMS = 64
 
 
 def krawtchouk_chain(N: int) -> JacobiMatrix:
@@ -142,20 +151,48 @@ def _clenshaw(coef, two_x: np.ndarray, first: np.ndarray) -> np.ndarray:
     return tmp
 
 
+@functools.cache
+def _odd_table() -> np.ndarray:
+    """Row i holds T_2i+1(y) = y V_i(x) at the 4096 positive samples, i < 64.
+
+    Built on the first call by the third-kind recurrence V_i+1 = 2x V_i -
+    V_i-1, which carries over to the rows; 2 MiB, read-only, shared.
+    """
+    table = np.empty((_TABLE_TERMS, _Y.size))
+    table[0] = _Y
+    np.multiply(_Y, _V1, out=table[1])
+    for i in range(2, _TABLE_TERMS):
+        np.multiply(_TWO_X, table[i - 1], out=table[i])
+        table[i] -= table[i - 2]
+    table.flags.writeable = False
+    return table
+
+
+def _odd_values(odd: np.ndarray) -> np.ndarray:
+    """sum_i odd[i] T_2i+1 at the 4096 positive samples, in ascending order.
+
+    At most 64 terms are one product with ``_odd_table()``; more take the
+    Clenshaw recurrence of O = sum odd[i] V_i in x = T_2(y), since
+    T_2i+1(y) = y V_i(x) with V the Chebyshev polynomials of the third kind.
+    """
+    if odd.size <= _TABLE_TERMS:
+        return odd @ _odd_table()[: odd.size]
+    return _Y * _clenshaw(odd, _TWO_X, _V1)
+
+
 def _grid_values(coef: np.ndarray) -> np.ndarray:
     """sum_j coef[j] T_j at the 8192 samples +-(2k+1)/8193, in ascending order.
 
     With x = T_2(y) the series splits into c(y) = E(x) + y O(x): the even
-    degrees give E = sum A_2i T_i and the odd ones O = sum A_2i+1 V_i, since
-    T_2i+1(y) = y V_i(x) with V the Chebyshev polynomials of the third kind.
-    Each nonzero part takes one Clenshaw recurrence of half the degree on
-    the 4096 positive samples, and c(-y) = E(x) - y O(x) gives the rest.
+    degrees give E = sum A_2i T_i, a Clenshaw recurrence of half the degree
+    on the 4096 positive samples, and the odd ones give y O(x) there by
+    ``_odd_values``.  c(-y) = E(x) - y O(x) gives the rest.
     """
     even, odd = coef[::2], coef[1::2]
     half = _clenshaw(even, _TWO_X, _X) if even.any() else np.zeros(_Y.shape)
     values = np.concatenate([half[::-1], half])
     if odd.any():
-        half = _Y * _clenshaw(odd, _TWO_X, _V1)
+        half = _odd_values(odd)
         values[: _Y.size] -= half[::-1]
         values[_Y.size :] += half
     return values
@@ -166,10 +203,14 @@ def count_sign_changes(c: np.polynomial.Chebyshev) -> int:
 
     The samples are +-(2k+1)/8193 for k = 0..4095, exactly antisymmetric,
     so the endpoints are excluded exactly; the grid is built once, at
-    import.  The series is evaluated by its even and odd parts, each a
-    recurrence of half the degree on the positive half of the grid.  A
-    series on another domain or window, or in another basis, is converted
-    first, so the same function is sampled.
+    import.  The series is evaluated by its even and odd parts on the
+    positive half of the grid: an odd part of degree up to 127 as one
+    product with a table of T_1, T_3, ..., T_127 there, built on the first
+    call, and any other part as a recurrence of half the degree.  An odd
+    series, such as ``amplitude_as_chebyshev`` returns, is exactly
+    antisymmetric on the grid and is counted on its positive half.  A series
+    on another domain or window, or in another basis, is converted first,
+    so the same function is sampled.
 
     Samples at or below the cancellation floor, the noise clearance times
     the sum of |A_j| in ascending degree, are dropped, since round-off
@@ -182,8 +223,13 @@ def count_sign_changes(c: np.polynomial.Chebyshev) -> int:
         coef = c.coef
     else:
         coef = c.convert(kind=chebyshev).coef
-    values = _grid_values(coef)
-    signs = np.sign(values[np.abs(values) > floor])
-    if signs.size < 2:
-        return 0
-    return int(np.count_nonzero(signs[1:] != signs[:-1]))
+    has_even = coef[::2].any()
+    values = _grid_values(coef) if has_even else _odd_values(coef[1::2])
+    negative = np.signbit(values[np.abs(values) > floor])
+    changes = int(np.count_nonzero(negative[1:] != negative[:-1]))
+    if has_even or not negative.size:
+        return changes
+    # an odd series is exactly antisymmetric on the grid, so the samples kept
+    # on the negative half mirror these with opposite signs, and the pair
+    # nearest 0 adds one change
+    return 2 * changes + 1

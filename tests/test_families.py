@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -30,6 +33,7 @@ from pstchain import families
 
 GOLDEN_ESE = Path(__file__).parent / "golden" / "ese_named_families.json"
 GOLDEN_SIGN_CHANGES = Path(__file__).parent / "golden" / "sign_changes.json"
+GOLDEN_CLI = Path(__file__).parent / "golden" / "cli"
 
 
 def monic_krawtchouk(N: int, n: int, x):
@@ -473,3 +477,133 @@ class TestSignChangeGolden:
         assert not wrong, wrong
         for name, expected in built.items():
             assert getattr(families, name).tobytes() == expected.tobytes(), name
+
+
+def full_grid_count(c: np.polynomial.Chebyshev) -> int:
+    """The count's rule applied to all 8192 samples, signs by ``np.sign``."""
+    values = families._grid_values(c.coef)
+    floor = 1e-12 * sum(abs(a) for a in c.coef.tolist())
+    signs = np.sign(values[np.abs(values) > floor])
+    return int(np.count_nonzero(signs[1:] != signs[:-1]))
+
+
+def table_and_recurrence_counts(series, monkeypatch):
+    """``count_sign_changes``, then ``full_grid_count`` with no odd-part table."""
+    table = [count_sign_changes(c) for c in series]
+    with monkeypatch.context() as patch:
+        patch.setattr(families, "_TABLE_TERMS", 0)
+        recurrence = [full_grid_count(c) for c in series]
+    return table, recurrence
+
+
+def no_recurrence(*args):
+    raise AssertionError("the recurrence ran")
+
+
+def odd_series(degree: int, count: int = 25, seed: int = 25):
+    """Seeded odd-only series of exactly the given odd degree, and T_degree."""
+    rng = np.random.default_rng([seed, degree])
+    for _ in range(count):
+        coef = np.zeros(degree + 1)
+        coef[1::2] = rng.standard_normal(degree // 2 + 1)
+        coef[: int(rng.integers(0, degree))] = 0.0
+        coef[degree] = 1.0 + abs(coef[degree])
+        yield np.polynomial.Chebyshev(coef)
+    yield np.polynomial.Chebyshev.basis(degree)
+
+
+class TestOddTable:
+    """Counts through the odd-part table, on half the grid of an odd series,
+    equal those of the half-degree recurrence on the whole grid."""
+
+    def assert_same_counts(self, series, monkeypatch):
+        table, recurrence = table_and_recurrence_counts(series, monkeypatch)
+        wrong = [
+            (c.degree(), a, b)
+            for c, a, b in zip(series, table, recurrence)
+            if a != b
+        ]
+        assert not wrong, wrong
+
+    def test_every_gap_family_up_to_n20_m30(self, monkeypatch):
+        series = [
+            amplitude_as_chebyshev(persymmetric_weights(gap_family_spectrum(n, m)))
+            for n in range(2, 21)
+            for m in range(1, 31)
+        ]
+        assert len(series) == 570
+        assert max(c.degree() for c in series) == 99  # all on the table
+        self.assert_same_counts(series, monkeypatch)
+
+    def test_seeded_series(self, monkeypatch):
+        self.assert_same_counts(list(seeded_series()), monkeypatch)
+
+    def test_golden_sets(self, monkeypatch):
+        golden = json.loads(GOLDEN_SIGN_CHANGES.read_text())
+        cases = golden["named"] + [
+            case
+            for case in json.loads(GOLDEN_ESE.read_text())["cases"]
+            if case["family"] != "krawtchouk" or case["N"] % 2
+        ]
+        series = [
+            amplitude_as_chebyshev(persymmetric_weights(named_request(case)))
+            for case in cases
+        ] + [
+            combination(case["low"], case["coefficients"])
+            for case in golden["random"]
+        ]
+        self.assert_same_counts(series, monkeypatch)
+
+    @pytest.mark.parametrize("degree", [125, 127, 129, 131])
+    def test_degrees_around_the_table_edge(self, degree, monkeypatch):
+        series = list(odd_series(degree))
+        self.assert_same_counts(series, monkeypatch)
+        # degree 127 is the table's last row, 129 the first left to Clenshaw
+        with monkeypatch.context() as patch:
+            patch.setattr(families, "_clenshaw", no_recurrence)
+            if degree <= 127:
+                for c in series:
+                    count_sign_changes(c)
+            else:
+                with pytest.raises(AssertionError, match="recurrence"):
+                    count_sign_changes(series[0])
+
+    def test_table_rows_are_odd_chebyshev_polynomials(self):
+        table = families._odd_table()
+        assert table.shape == (64, 4096) and table.nbytes == 2 * 2**20
+        # a row error of 2e-13 moves a sample by at most a fifth of the
+        # count's floor, 1e-12 times the sum of |A_j|; row 63 is at 1.1e-13
+        vander = np.polynomial.chebyshev.chebvander(families._Y, 127)[:, 1::2]
+        np.testing.assert_allclose(table, vander.T, rtol=0.0, atol=2e-13)
+
+    def test_table_is_read_only_and_built_once(self):
+        table = families._odd_table()
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0.0
+        for case in json.loads(GOLDEN_SIGN_CHANGES.read_text())["random"]:
+            count_sign_changes(combination(case["low"], case["coefficients"]))
+        assert families._odd_table() is table
+        assert families._odd_table.cache_info().misses == 1
+
+    def test_cli_analyze_does_not_build_the_table(self):
+        # analyze never counts sign changes, so it must not pay for the table
+        document = GOLDEN_CLI / "gap-family-20-9" / "construct.json"
+        script = (
+            "import os, pstchain\n"
+            "from pstchain import cli, families\n"
+            f"assert cli.main(['analyze', '--in', {str(document)!r}, "
+            "'--out', os.devnull]) == 0\n"
+            "print(families._odd_table.cache_info().misses)\n"
+        )
+        # the child imports the pstchain under test, wherever it was found
+        source = str(Path(families.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.stdout.splitlines()[-1] == "0"
