@@ -6,13 +6,14 @@ cos^N(t/2).  Gap-family spectra are symmetric with unit gaps except an odd
 middle gap 2m+1; their boundary amplitude is a short Chebyshev series in
 cos(t/2), a ``numpy.polynomial.Chebyshev``, which is where the sign-change
 counting lives.  The count samples the series on an exactly antisymmetric
-grid of 8192 points and evaluates its even and odd parts separately on the
-positive half of the grid.  An odd part of degree up to 127 is one matrix
-product with a table of T_1, T_3, ..., T_127 at those samples; an even
-part, or an odd one of higher degree, is a recurrence in T_2 of half the
-degree.  An odd series is counted on the positive half alone.  The grid
-and the recurrence's abscissae are built once, at import, and the 2 MiB
-table on the first count; all are read-only arrays.
+grid of 8194 points, 8192 interior ones and the endpoints y = +-1, and
+evaluates its even and odd parts separately on the positive half of the
+grid.  An odd part of degree up to 127 is one matrix product with a table
+of T_1, T_3, ..., T_127 at those samples; an even part, or an odd one of
+higher degree, is a recurrence in T_2 of half the degree.  An odd series
+is counted on the positive half alone.  The grid and the recurrence's
+abscissae are built once, at import, and the 2 MiB table on the first
+count; all are read-only arrays.
 """
 
 from __future__ import annotations
@@ -36,9 +37,11 @@ _HALF_INTEGER_ATOL = 1e-9
 
 _WEIGHT_SYMMETRY_ATOL = 1e-8
 
-# The 4096 positive samples y = (2k+1)/8193 of the sign-change grid, the
-# abscissa x = T_2(y) of its half-degree recurrences, 2x and V_1(x) = 2x - 1.
-_Y = _readonly(np.arange(1.0, 8193.0, 2.0) / 8193.0)
+# The 4097 positive samples of the sign-change grid, y = (2k+1)/8193 for
+# k = 0..4095 and y = 1, the abscissa x = T_2(y) of its half-degree
+# recurrences, 2x and V_1(x) = 2x - 1.  The wide gap families have their
+# earliest zero beyond 8191/8193, so only the sample at 1 shows it.
+_Y = _readonly(np.append(np.arange(1.0, 8193.0, 2.0) / 8193.0, 1.0))
 _X = _readonly(2.0 * _Y * _Y - 1.0)
 _TWO_X = _readonly(2.0 * _X)
 _V1 = _readonly(2.0 * _X - 1.0)
@@ -153,7 +156,7 @@ def _clenshaw(coef, two_x: np.ndarray, first: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _odd_table() -> np.ndarray:
-    """Row i holds T_2i+1(y) = y V_i(x) at the 4096 positive samples, i < 64.
+    """Row i holds T_2i+1(y) = y V_i(x) at the 4097 positive samples, i < 64.
 
     Built on the first call by the third-kind recurrence V_i+1 = 2x V_i -
     V_i-1, which carries over to the rows; 2 MiB, read-only, shared.
@@ -169,7 +172,7 @@ def _odd_table() -> np.ndarray:
 
 
 def _odd_values(odd: np.ndarray) -> np.ndarray:
-    """sum_i odd[i] T_2i+1 at the 4096 positive samples, in ascending order.
+    """sum_i odd[i] T_2i+1 at the 4097 positive samples, in ascending order.
 
     At most 64 terms are one product with ``_odd_table()``; more take the
     Clenshaw recurrence of O = sum odd[i] V_i in x = T_2(y), since
@@ -181,11 +184,11 @@ def _odd_values(odd: np.ndarray) -> np.ndarray:
 
 
 def _grid_values(coef: np.ndarray) -> np.ndarray:
-    """sum_j coef[j] T_j at the 8192 samples +-(2k+1)/8193, in ascending order.
+    """sum_j coef[j] T_j at the 8194 samples +-(2k+1)/8193 and +-1, ascending.
 
     With x = T_2(y) the series splits into c(y) = E(x) + y O(x): the even
     degrees give E = sum A_2i T_i, a Clenshaw recurrence of half the degree
-    on the 4096 positive samples, and the odd ones give y O(x) there by
+    on the 4097 positive samples, and the odd ones give y O(x) there by
     ``_odd_values``.  c(-y) = E(x) - y O(x) gives the rest.
     """
     even, odd = coef[::2], coef[1::2]
@@ -199,15 +202,17 @@ def _grid_values(coef: np.ndarray) -> np.ndarray:
 
 
 def count_sign_changes(c: np.polynomial.Chebyshev) -> int:
-    """Sign changes of the series over 8192 uniform samples inside (-1, 1).
+    """Sign changes of the series over 8194 samples of [-1, 1].
 
-    The samples are +-(2k+1)/8193 for k = 0..4095, exactly antisymmetric,
-    so the endpoints are excluded exactly; the grid is built once, at
-    import.  The series is evaluated by its even and odd parts on the
-    positive half of the grid: an odd part of degree up to 127 as one
-    product with a table of T_1, T_3, ..., T_127 there, built on the first
-    call, and any other part as a recurrence of half the degree.  An odd
-    series, such as ``amplitude_as_chebyshev`` returns, is exactly
+    The samples are +-(2k+1)/8193 for k = 0..4095 and +-1, exactly
+    antisymmetric; the grid is built once, at import.  The endpoints, where
+    the series is sum_j A_j (+-1)^j, show a zero between the outermost
+    interior sample and +-1, such as the earliest ESE zero of a wide gap
+    family, near t = 0.  The series is evaluated by its even and odd parts
+    on the positive half of the grid: an odd part of degree up to 127 as
+    one product with a table of T_1, T_3, ..., T_127 there, built on the
+    first call, and any other part as a recurrence of half the degree.  An
+    odd series, such as ``amplitude_as_chebyshev`` returns, is exactly
     antisymmetric on the grid and is counted on its positive half.  A series
     on another domain or window, or in another basis, is converted first,
     so the same function is sampled.

@@ -25,6 +25,11 @@ working precision.  Eigenvectors come from twisted factorizations that
 join the forward and backward pivots at the eigenvalue, both from one
 sweep over T and its mirror image for all eigenvalues at once, so a solve
 takes three sweeps, the first one of 2 _WINDOW + 1 shifts per eigenvalue.
+Each sweep splits its pivot array into site rows once, so a site costs two
+ufunc calls in a Sturm count (divide and subtract, with the squared
+coupling as a Python float) and four in a guarded sweep (the guard's abs
+and minimum.reduce too, plus its replacement where it fires), with no
+per-site view.
 For the supported sizes (at most ``MAX_SITES`` sites) and simple, well
 separated spectra this gives eigenpair residuals and weights at working
 precision, also for strongly localized eigenvectors.
@@ -86,6 +91,15 @@ _BISECT_MAX_ITER = 32
 # 2.72 sections from the eigenvalue, at 5 sites (2.34, at 3 sites, on the
 # other corpus).
 _WINDOW = 4
+
+# The interior section fractions 1/_SECTIONS .. (_SECTIONS - 1)/_SECTIONS as
+# a read-only column, and the window's 2 _WINDOW + 1 rows of it about row
+# _SECTIONS // 2 - 1, the guess's; eps and tiny of float64.
+_FRACTIONS = np.arange(1, _SECTIONS)[:, None] / _SECTIONS
+_FRACTIONS.setflags(write=False)
+_WINDOW_FRACTIONS = _FRACTIONS[_SECTIONS // 2 - 1 - _WINDOW:_SECTIONS // 2 + _WINDOW]
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 # Cancellation floor of a spectral sum per unit of total coefficient modulus.
 _NOISE_CLEARANCE = 1e-12
@@ -261,12 +275,18 @@ def _pivots(diag, off2, shifts, pivmin) -> np.ndarray:
     vanishing pivot counts as negative in the Sturm sequence.  Bisection
     counts with ``_sturm_counts`` instead, unless a coupling is too weak
     for it.
+
+    The pivots are laid out in C order whatever the operands' layout, and
+    their rows and the coupling rows are split into lists once, so a site
+    costs four ufunc calls (divide, subtract, abs and the guard's
+    ``minimum.reduce``) on contiguous rows, and no view of its own.
     """
-    piv = np.subtract(diag, shifts)
-    buf = np.empty_like(piv[0])
-    for i, d in enumerate(piv):
+    piv = np.subtract(diag, shifts, order="C")
+    rows, couplings = list(piv), list(off2)
+    buf = np.empty_like(rows[0])
+    for i, d in enumerate(rows):
         if i:
-            np.divide(off2[i - 1], piv[i - 1], out=buf)
+            np.divide(couplings[i - 1], rows[i - 1], out=buf)
             np.subtract(d, buf, out=d)
         if np.minimum.reduce(np.abs(d, out=buf), axis=None) < pivmin:
             d[buf < pivmin] = -pivmin
@@ -276,22 +296,27 @@ def _pivots(diag, off2, shifts, pivmin) -> np.ndarray:
 def _sturm_counts(diag, off2, shifts, pivmin) -> np.ndarray:
     """Sturm counts of T - sigma I per shift, from unguarded LDL^T pivots.
 
-    ``diag``, ``off2`` and ``shifts`` broadcast as in ``_pivots``.  Under
-    IEEE-754 a zero pivot gives an infinite next one and no guard is needed
-    (Marques, Riedy & Voemel 2006, as in LAPACK ``dlaneg``).  The guard
-    counts a pivot below ``pivmin`` in magnitude and makes the next one
-    large and positive.  The sign bit counts it only if it is negative, -0
-    included, and the next pivot is then +inf or large and positive, and
-    otherwise -inf or large and negative: the pair counts once either way.
-    Only the last pivot, which has no successor, keeps the guard's rule,
-    ``< pivmin``.
+    ``diag`` and ``shifts`` broadcast as in ``_pivots``; ``off2`` holds one
+    squared coupling per site, for a single matrix.  Under IEEE-754 a zero
+    pivot gives an infinite next one and no guard is needed (Marques, Riedy
+    & Voemel 2006, as in LAPACK ``dlaneg``).  The guard counts a pivot
+    below ``pivmin`` in magnitude and makes the next one large and
+    positive.  The sign bit counts it only if it is negative, -0 included,
+    and the next pivot is then +inf or large and positive, and otherwise
+    -inf or large and negative: the pair counts once either way.  Only the
+    last pivot, which has no successor, keeps the guard's rule, ``< pivmin``.
+
+    The pivot rows are split into a list once and the squared couplings
+    taken as Python floats, so a site costs two ufunc calls (divide and
+    subtract) and no view of its own.
     """
     piv = np.subtract(diag, shifts)
-    buf = np.empty_like(piv[0])
+    rows = list(piv)
+    buf = np.empty_like(rows[0])
     with np.errstate(divide="ignore", over="ignore"):
-        for i in range(1, len(piv)):
-            np.divide(off2[i - 1], piv[i - 1], out=buf)
-            np.subtract(piv[i], buf, out=piv[i])
+        for b2, before, d in zip(off2.ravel().tolist(), rows, rows[1:]):
+            np.divide(b2, before, out=buf)
+            np.subtract(d, buf, out=d)
     return np.count_nonzero(np.signbit(piv[:-1]), axis=0) + (piv[-1] < pivmin)
 
 
@@ -354,12 +379,18 @@ def _bisect_eigenvalues(diag, off, off2, pivmin) -> np.ndarray:
     radius[1:] += np.abs(off)
     glo = float(np.min(diag - radius))
     ghi = float(np.max(diag + radius))
-    eps = np.finfo(float).eps
-    atol = eps * max(abs(glo), abs(ghi))
+    atol = _EPS * max(abs(glo), abs(ghi))
     pad = 1e-3 * (ghi - glo)
     want = np.arange(1, n + 1)
+    # the dense matrix by strided fills; adding 0 turns a -0 on the diagonal
+    # into +0, as summing three diagonal matrices did
+    dense = np.zeros((n, n))
+    flat = dense.reshape(-1)
+    np.add(diag, 0.0, out=flat[::n + 1])
+    flat[1::n + 1] = off
+    flat[n::n + 1] = off
     try:
-        guess = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        guess = np.linalg.eigvalsh(dense)
     except np.linalg.LinAlgError:
         guess = np.full(n, np.nan)
     seeded = np.isfinite(guess)
@@ -370,34 +401,32 @@ def _bisect_eigenvalues(diag, off, off2, pivmin) -> np.ndarray:
     # to working precision, so b^2 / pivmin must exceed every |a - sigma|,
     # at most ghi - glo + 2 pad, by 1/eps.  A smaller b^2 (one that
     # underflows in the unit frame) counts with the guard, in every sweep.
-    if off2.min() * eps < pivmin * (ghi - glo + 2 * pad):
+    if off2.min() * _EPS < pivmin * (ghi - glo + 2 * pad):
         def count(shifts):
             return np.count_nonzero(_pivots(*sites, shifts, pivmin) < 0.0, axis=0)
     else:
         def count(shifts):
             return _sturm_counts(*sites, shifts, pivmin)
-    fractions = np.arange(1, _SECTIONS)[:, None] / _SECTIONS
     missed = np.arange(n)
     if seeded.all():
-        centre = _SECTIONS // 2 - 1  # the guess's row in fractions
-        grid = lo + fractions[centre - _WINDOW:centre + _WINDOW + 1] * (hi - lo)
+        grid = lo + _WINDOW_FRACTIONS * (hi - lo)
         held, a, b = _sections(grid, count(grid), want)
         lo, hi = np.where(held, a, lo), np.where(held, b, hi)
         missed = np.nonzero(~held)[0]
     if missed.size:
         a, b, k = lo[missed], hi[missed], want[missed]
-        grid = np.vstack([a, a + fractions * (b - a), b])
+        grid = np.vstack([a, a + _FRACTIONS * (b - a), b])
         held, a, b = _sections(grid, count(grid), k)
         lo[missed] = np.where(held, a, glo - pad)
         hi[missed] = np.where(held, b, ghi + pad)
     for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        width = np.maximum(atol, 2.0 * eps * np.maximum(np.abs(lo), np.abs(hi)))
+        width = np.maximum(atol, 2.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi)))
         active = np.nonzero((hi - lo > width) & (mid > lo) & (mid < hi))[0]
         if not active.size:
             break
         a, b, k = lo[active], hi[active], want[active]
-        grid = np.vstack([a, a + fractions * (b - a), b])
+        grid = np.vstack([a, a + _FRACTIONS * (b - a), b])
         # count(a) < k <= count(b) by construction
         counts = np.empty(grid.shape, dtype=int)
         counts[0], counts[-1] = k - 1, k
@@ -417,8 +446,8 @@ def _twisted_vectors(diag, off, off2, lam, pivmin) -> np.ndarray:
     twist and z_i = -(b_{i-1} / r_i) z_{i-1} below it.
     """
     both = _pivots(
-        np.stack([diag, diag[::-1]], axis=1)[..., None],
-        np.stack([off2, off2[::-1]], axis=1)[..., None],
+        np.array([diag, diag[::-1]]).T[..., None],
+        np.array([off2, off2[::-1]]).T[..., None],
         lam,
         pivmin,
     )
@@ -430,9 +459,10 @@ def _twisted_vectors(diag, off, off2, lam, pivmin) -> np.ndarray:
     # the same multiplications, in the same order, as the walk from z_k = 1
     i = np.arange(diag.size - 1)[:, None]
     z = np.ones_like(d)
-    z[:-1] = np.cumprod(np.where(i < twist, up, 1.0)[::-1], axis=0)[::-1]
-    z[1:] *= np.cumprod(np.where(i >= twist, down, 1.0), axis=0)
-    return z / np.linalg.norm(z, axis=0)
+    z[:-1] = np.multiply.accumulate(np.where(i < twist, up, 1.0)[::-1])[::-1]
+    z[1:] *= np.multiply.accumulate(np.where(i >= twist, down, 1.0))
+    # the 2-norm of each column as numpy.linalg.norm takes it for real input
+    return z / np.sqrt(np.add.reduce(z * z, axis=0))
 
 
 def _eigensystem(J: JacobiMatrix) -> tuple[SpectralData, np.ndarray]:
@@ -446,17 +476,17 @@ def _eigensystem(J: JacobiMatrix) -> tuple[SpectralData, np.ndarray]:
     _, e = np.frexp(max(np.abs(J.diag - c).max(), J.offdiag.max()))
     diag, off = np.ldexp(J.diag - c, -e), np.ldexp(J.offdiag, -e)
     off2 = off * off
-    pivmin = np.finfo(float).tiny  # LAPACK's tiny * max(1, b^2), as b^2 < 1
+    pivmin = _TINY  # LAPACK's tiny * max(1, b^2), as b^2 < 1
     mu = _bisect_eigenvalues(diag, off, off2, pivmin)
     with np.errstate(over="ignore"):
         lam = c + np.ldexp(mu, e)
-    if not np.all(np.isfinite(lam)):
+    if not np.isfinite(lam).all():
         bad = int(np.nonzero(~np.isfinite(lam))[0][0])
         raise EigensolverError(
             f"eigenvalue {bad} overflows: matrix entries are too large", index=bad
         )
     scale = float(np.abs(lam).max())
-    gaps = np.diff(lam)
+    gaps = lam[1:] - lam[:-1]
     tight = np.nonzero(gaps <= GAP_RTOL * scale)[0]
     if tight.size:
         bad = int(tight[0]) + 1
@@ -472,7 +502,7 @@ def _eigensystem(J: JacobiMatrix) -> tuple[SpectralData, np.ndarray]:
     vectors.setflags(write=False)
     weights = vectors[0] ** 2
     weights = weights / weights.sum()
-    if not np.all((weights > 0.0) & (weights < 1.0)):
+    if not ((weights > 0.0) & (weights < 1.0)).all():
         bad = int(np.argmin(weights))
         raise EigensolverError(
             f"weight {bad} ({weights[bad]:.3e}) is lost at working precision: "

@@ -330,12 +330,13 @@ class TestAmplitudeAsChebyshev:
 
 
 def linspace_sign_changes(c: np.polynomial.Chebyshev) -> int:
-    """Reference count: numpy's evaluation at np.linspace(-1, 1, 8194)[1:-1].
+    """Reference count: numpy's evaluation at np.linspace(-1, 1, 8194).
 
     The same floor and counting rule as ``count_sign_changes``, on the
-    linspace samples and numpy's full-degree Clenshaw recurrence.
+    linspace samples, endpoints included, and numpy's full-degree Clenshaw
+    recurrence.
     """
-    values = c(np.linspace(-1.0, 1.0, 8194)[1:-1])
+    values = c(np.linspace(-1.0, 1.0, 8194))
     floor = 1e-12 * sum(abs(a) for a in c.coef.tolist())
     signs = np.sign(values[np.abs(values) > floor])
     if signs.size < 2:
@@ -363,13 +364,13 @@ class TestCountSignChanges:
     def test_grid_is_exactly_antisymmetric(self):
         # the identity series T_1 evaluates to the sample points themselves
         grid = families._grid_values(np.array([0.0, 1.0]))
-        assert grid.size == 8192
+        assert grid.size == 8194
         assert np.array_equal(grid, -grid[::-1])
-        assert np.all(np.diff(grid) > 0.0) and -1.0 < grid[0]
-        exact = [float(Fraction(2 * k + 1, 8193)) for k in range(4096)]
-        assert np.array_equal(grid[4096:], exact)
+        assert np.all(np.diff(grid) > 0.0) and grid[0] == -1.0
+        exact = [float(Fraction(2 * k + 1, 8193)) for k in range(4096)] + [1.0]
+        assert np.array_equal(grid[4097:], exact)
         # the nominal points of linspace, which rounds 5,119 of them off
-        linspace = np.linspace(-1.0, 1.0, 8194)[1:-1]
+        linspace = np.linspace(-1.0, 1.0, 8194)
         np.testing.assert_array_max_ulp(grid, linspace, maxulp=2)
         assert np.count_nonzero(grid != linspace) == 5119
 
@@ -430,6 +431,20 @@ class TestCountSignChanges:
         c = amplitude_as_chebyshev(persymmetric_weights(gap_family_spectrum(n, m)))
         assert count_sign_changes(c) >= 2 * m + 1
 
+    def test_every_gap_family_up_to_n20_m30_counts_2m_plus_1(self):
+        # criterion 7's bound is met exactly; 19 wide families (n = 13..20,
+        # m = 27..30) have their earliest zero between the outermost interior
+        # sample, 8191/8193, and y = 1, which only the endpoint sample shows
+        wrong = [
+            (n, m, count)
+            for n in range(2, 21)
+            for m in range(1, 31)
+            if (count := count_sign_changes(amplitude_as_chebyshev(
+                persymmetric_weights(gap_family_spectrum(n, m))
+            ))) != 2 * m + 1
+        ]
+        assert not wrong, wrong
+
 
 class TestSignChangeGolden:
     """Sign-change counts pinned across changes of the series' representation."""
@@ -457,7 +472,7 @@ class TestSignChangeGolden:
 
     def test_grid_constants_are_read_only(self):
         # the sign-count abscissae are built once, at import, and shared
-        y = np.arange(1.0, 8193.0, 2.0) / 8193.0
+        y = np.append(np.arange(1.0, 8193.0, 2.0) / 8193.0, 1.0)
         x = 2.0 * y * y - 1.0
         built = {"_Y": y, "_X": x, "_TWO_X": 2.0 * x, "_V1": 2.0 * x - 1.0}
         for name, expected in built.items():
@@ -480,7 +495,7 @@ class TestSignChangeGolden:
 
 
 def full_grid_count(c: np.polynomial.Chebyshev) -> int:
-    """The count's rule applied to all 8192 samples, signs by ``np.sign``."""
+    """The count's rule applied to all 8194 samples, signs by ``np.sign``."""
     values = families._grid_values(c.coef)
     floor = 1e-12 * sum(abs(a) for a in c.coef.tolist())
     signs = np.sign(values[np.abs(values) > floor])
@@ -570,7 +585,7 @@ class TestOddTable:
 
     def test_table_rows_are_odd_chebyshev_polynomials(self):
         table = families._odd_table()
-        assert table.shape == (64, 4096) and table.nbytes == 2 * 2**20
+        assert table.shape == (64, 4097) and table.nbytes == 2 * 2**20 + 512
         # a row error of 2e-13 moves a sample by at most a fifth of the
         # count's floor, 1e-12 times the sum of |A_j|; row 63 is at 1.1e-13
         vander = np.polynomial.chebyshev.chebvander(families._Y, 127)[:, 1::2]

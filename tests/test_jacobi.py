@@ -26,6 +26,7 @@ from pstchain import (
     krawtchouk_chain,
     persymmetric_weights,
     reconstruct_jacobi,
+    surgery_spectrum,
 )
 from pstchain import jacobi
 from pstchain.jacobi import _eigensystem
@@ -181,6 +182,22 @@ def assert_matches_five_sweep_solver(J, monkeypatch):
     assert np.array_equal(sd.eigenvalues, ref.eigenvalues)
     assert np.array_equal(sd.weights, ref.weights)
     assert np.array_equal(vectors, ref_vectors)
+
+
+def five_sweep_wires(kind):
+    """The wires of one kind that the solver is compared with the five-sweep
+    reference on: Krawtchouk chains of 2 to 41 sites, the mirror-symmetric
+    wires of surgery spectra N = 3..39 and of gap families n = 2..20 with
+    m = 1, 5 and 9, or seeded draws."""
+    if kind == "krawtchouk":
+        return [krawtchouk_chain(N) for N in range(1, 41)]
+    if kind == "surgery":
+        requests = [surgery_spectrum(N) for N in range(3, 40, 2)]
+    elif kind == "gap":
+        requests = [gap_family_spectrum(n, m) for n in range(2, 21) for m in (1, 5, 9)]
+    else:
+        return list(random_wires(kind))
+    return [reconstruct_jacobi(persymmetric_weights(request)) for request in requests]
 
 
 def corrupt_eigvalsh(monkeypatch, corruption):
@@ -511,16 +528,56 @@ class TestEigendecompose:
             assert len(calls) <= 3
             assert calls[0][2].shape == (9, J.n_sites)
 
-    @pytest.mark.parametrize("kind", ["krawtchouk", *DRAWS])
+    @pytest.mark.parametrize("kind", ["krawtchouk", "surgery", "gap", *DRAWS])
     def test_matches_five_sweep_solver(self, kind, monkeypatch):
         # the same IEEE operations in the same order as the solver with a
         # separate check sweep and separate forward and backward sweeps
-        if kind == "krawtchouk":
-            wires = [krawtchouk_chain(N) for N in range(1, 41)]
-        else:
-            wires = random_wires(kind)
+        wires = five_sweep_wires(kind)
+        assert len(wires) == {"krawtchouk": 40, "surgery": 19, "gap": 57}.get(kind, 10)
         for J in wires:
             assert_matches_five_sweep_solver(J, monkeypatch)
+
+    def test_solver_constants_are_read_only(self):
+        # built once, at import, and equal to the expressions each solve
+        # used to evaluate
+        fractions = np.arange(1, jacobi._SECTIONS)[:, None] / jacobi._SECTIONS
+        centre = jacobi._SECTIONS // 2 - 1  # the guess's row
+        window = fractions[centre - jacobi._WINDOW:centre + jacobi._WINDOW + 1]
+        assert window.shape == (9, 1)
+        for constant, expected in (
+            (jacobi._FRACTIONS, fractions), (jacobi._WINDOW_FRACTIONS, window)
+        ):
+            assert constant.shape == expected.shape
+            assert constant.tobytes() == expected.tobytes()
+            assert not constant.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                constant[0, 0] = 0.0
+        assert jacobi._EPS == np.finfo(float).eps
+        assert jacobi._TINY == np.finfo(float).tiny
+
+    def test_guess_matrix_is_the_sum_of_three_diagonals(self, monkeypatch):
+        # LAPACK gets the bits of np.diag(a) + np.diag(b, 1) + np.diag(b, -1),
+        # also where the unit frame has -0 on the diagonal, which that sum
+        # turns into +0
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(a):
+            seen.append(a.copy())
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        wires = [
+            JacobiMatrix(diag=[-0.0, 1.0, -1.0, -0.0], offdiag=[1.0, 2.0, 0.5]),
+            krawtchouk_chain(40),
+            *random_wires("generic"),
+        ]
+        for J in wires:
+            seen.clear()
+            (diag, off, _, _), _ = unit_frame(J, monkeypatch)
+            expected = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+            assert seen[0].tobytes() == expected.tobytes()
+        assert np.signbit(unit_frame(wires[0], monkeypatch)[0][0]).any()
 
     @pytest.mark.parametrize("corruption", CORRUPTIONS)
     def test_rejected_seed_matches_five_sweep_solver(self, corruption, monkeypatch):
