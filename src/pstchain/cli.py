@@ -44,7 +44,10 @@ def _write(path: str, text: str) -> None:
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError:  # the decoder recurses once per nesting level
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _spectral_data_from_document(doc) -> SpectralData:

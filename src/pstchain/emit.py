@@ -6,7 +6,9 @@ significant digits: the standard module's shortest round-trip floats are
 not the fixed decimal contract that byte-stable, human-diffable artifacts
 need.  CSV cells use the same format.  Float arrays, CSV tables and SVG
 curves are formatted a whole array at a time, in one ``%`` call on a
-repeated template, with the same text that ``fmt`` gives each number.
+repeated template, with the same text that ``fmt`` gives each number.  The
+two SVG curves share their abscissae, which are printed once into a points
+template; each curve then fills in only its own ordinates.
 """
 
 from __future__ import annotations
@@ -90,11 +92,15 @@ def _py(y: float) -> float:
     return _TOP + (1.0 - y / _Y_MAX) * (_HEIGHT - _TOP - _BOTTOM)
 
 
-def _polyline(times, values, t0, t1, cls: str, style: str) -> str:
-    x = _px(np.asarray(times, dtype=float), t0, t1)
-    y = _py(np.minimum(np.asarray(values, dtype=float), _Y_MAX))
-    coordinates = tuple(_finite(np.column_stack([x, y])).ravel().tolist())
-    points = " ".join(["%.2f,%.2f"] * len(x)) % coordinates
+def _points_template(times, t0: float, t1: float) -> str:
+    """Polyline points at ``times`` with each y left as a ``%.2f`` field."""
+    x = _finite(_px(np.asarray(times, dtype=float), t0, t1))
+    return " ".join(["%.2f,%%.2f"] * x.size) % tuple(x.tolist())
+
+
+def _polyline(template: str, values, cls: str, style: str) -> str:
+    y = _finite(_py(np.minimum(np.asarray(values, dtype=float), _Y_MAX)))
+    points = template % tuple(y.tolist())
     return f'<polyline class="{cls}" points="{points}" fill="none" {style}/>'
 
 
@@ -146,15 +152,15 @@ def amplitude_svg(
         f'<text x="{(_LEFT + _WIDTH - _RIGHT) / 2:.2f}" y="{_HEIGHT - 8}" '
         'font-size="13" text-anchor="middle">t</text>'
     )
+    # both curves share their abscissae: print them once
+    template = _points_template(times, t0, t1)
     parts.append(
-        _polyline(times, abs_x0, t0, t1, "x0-curve", 'stroke="#1f3b70" stroke-width="1.5"')
+        _polyline(template, abs_x0, "x0-curve", 'stroke="#1f3b70" stroke-width="1.5"')
     )
     parts.append(
         _polyline(
-            times,
+            template,
             abs_xN,
-            t0,
-            t1,
             "xN-curve",
             'stroke="#b3442c" stroke-width="1.5" stroke-dasharray="6 4"',
         )

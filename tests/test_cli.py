@@ -539,6 +539,31 @@ class TestExitCodes:
         assert info.value.code == 2
 
 
+FAILED_RUNS = [  # exit code, argv; {name} is a file of the test's
+    (2, ["construct", "gap-family", "--n", "2"]),
+    (2, ["analyze", "--in", "{missing}"]),
+    (2, ["evolve", "--in", "{wire}", "--t0", "1", "--t1", "1", "--steps", "4"]),
+    (2, ["plot", "--in", "{bad}", "--t0", "0", "--t1", "1"]),
+    (3, ["construct", "from-spectrum", "--in", "{undecidable}"]),
+    (3, ["analyze", "--in", "{weak}"]),
+    (3, ["plot", "--in", "{weak}", "--t0", "0", "--t1", "1"]),
+    (2, ["analyze", "--in", "{deep}"]),
+    (2, ["analyze", "--in", "{deep_spectrum}"]),
+    (2, ["evolve", "--in", "{deep}", "--t0", "0", "--t1", "1", "--steps", "4"]),
+    (2, ["plot", "--in", "{deep}", "--t0", "0", "--t1", "1"]),
+    (2, ["construct", "from-spectrum", "--in", "{deep}"]),
+]
+
+
+def failed_runs():
+    """(runner, exit code, argv) for each failed run: ``cli.main``, then the script."""
+    for i, (code, argv) in enumerate(FAILED_RUNS):
+        yield pytest.param(in_process, code, argv, id=f"{code}-argv{i}")
+        yield pytest.param(
+            console_script, code, argv, id=f"{code}-argv{i}-script", marks=NO_SCRIPT
+        )
+
+
 class TestManifest:
     """The stdout manifest echoes the subcommand's options in parser order,
     ``--in`` as ``in`` and without ``--out``; failed runs print nothing."""
@@ -622,17 +647,9 @@ class TestManifest:
         assert code == 0
         assert json.loads(stdout)["outputs"] == [os.devnull]
 
-    @pytest.mark.parametrize("code, argv", [
-        (2, ["construct", "gap-family", "--n", "2"]),
-        (2, ["analyze", "--in", "{missing}"]),
-        (2, ["evolve", "--in", "{wire}", "--t0", "1", "--t1", "1", "--steps", "4"]),
-        (2, ["plot", "--in", "{bad}", "--t0", "0", "--t1", "1"]),
-        (3, ["construct", "from-spectrum", "--in", "{undecidable}"]),
-        (3, ["analyze", "--in", "{weak}"]),
-        (3, ["plot", "--in", "{weak}", "--t0", "0", "--t1", "1"]),
-    ])
+    @pytest.mark.parametrize("run, code, argv", failed_runs())
     def test_failed_run_prints_nothing_and_writes_nothing(
-        self, code, argv, wire, tmp_path
+        self, run, code, argv, wire, tmp_path
     ):
         files = {
             "wire": wire,
@@ -640,15 +657,24 @@ class TestManifest:
             "bad": tmp_path / "bad.json",
             "undecidable": tmp_path / "undecidable.json",
             "weak": tmp_path / "weak.json",
+            "deep": tmp_path / "deep.json",
+            "deep_spectrum": tmp_path / "deep_spectrum.json",
         }
         files["bad"].write_text("{not json")
         files["undecidable"].write_text("[0.0, 1e-06, 1.000001]\n")
         files["weak"].write_text(
             json.dumps({"matrix": {"diag": [1.0, 0.0], "offdiag": [1e-9]}})
         )
+        # deeper than the JSON decoder's recursion allows
+        nested = "[" * 5000 + "]" * 5000
+        files["deep"].write_text(nested)
+        files["deep_spectrum"].write_text(f'{{"spectrum": {nested}}}')
         out = tmp_path / "out"
         argv = [arg.format(**files) for arg in argv]
-        assert in_process([*argv, "--out", out])[:2] == (code, "")
+        code_got, stdout, stderr = run([*argv, "--out", out])
+        assert (code_got, stdout) == (code, "")
+        assert stderr.startswith("error: " if code == 2 else "numerical failure: ")
+        assert stderr.count("\n") == 1, stderr
         assert not out.exists()
 
 

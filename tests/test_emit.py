@@ -10,12 +10,14 @@ per-value formats are kept inline below as the reference.
 import json
 import math
 import random
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
 from pstchain.emit import (
     _Y_MAX,
+    _points_template,
     _polyline,
     _px,
     _py,
@@ -168,30 +170,56 @@ def test_non_finite_anywhere_in_an_array_raises(bad, where):
         csv_text(["t", "x"], [np.zeros(7), values])
     times = np.linspace(0.0, 1.0, 7)
     with pytest.raises(ValueError, match="non-finite"):
-        _polyline(values, np.zeros(7), -1.0, 1.0, "c", "s")
+        _points_template(values, -1.0, 1.0)
     if bad != math.inf:  # an amplitude of +inf is clipped to the top of the plot
         with pytest.raises(ValueError, match="non-finite"):
-            _polyline(times, values, 0.0, 1.0, "c", "s")
+            _polyline(_points_template(times, 0.0, 1.0), values, "c", "s")
         with pytest.raises(ValueError, match="non-finite"):
             amplitude_svg(times, values, np.zeros(7), [], None)
 
 
-@pytest.mark.parametrize(
-    "t0, t1",
-    [(0.0, math.pi), (0.0, 1e-9), (-3.5, 2.0), (1e6, 1e6 + 7.25), (0.0, 1e300)],
-)
-def test_polyline_points_match_per_point_format(t0, t1):
-    rng = np.random.default_rng(7)
-    times = np.linspace(t0, t1, 800)
-    values = rng.uniform(0.0, 1.2, size=800)  # some above the clipping height
-    values[:4] = [0.0, -0.0, _Y_MAX, 1e-300]
-    points = " ".join(
+RANGES = [(0.0, math.pi), (0.0, 1e-9), (-3.5, 2.0), (1e6, 1e6 + 7.25), (0.0, 1e300)]
+
+
+def reference_points(times, values, t0, t1) -> str:
+    """Polyline points formatted one point at a time."""
+    return " ".join(
         f"{_px(float(t), t0, t1):.2f},{_py(min(float(v), _Y_MAX)):.2f}"
         for t, v in zip(times, values)
     )
-    assert _polyline(times, values, t0, t1, "c", "s") == (
+
+
+def awkward_amplitudes(seed: int) -> np.ndarray:
+    # some above the clipping height
+    values = np.random.default_rng(seed).uniform(0.0, 1.2, size=800)
+    values[:4] = [0.0, -0.0, _Y_MAX, 1e-300]
+    return values
+
+
+@pytest.mark.parametrize("t0, t1", RANGES)
+def test_polyline_points_match_per_point_format(t0, t1):
+    times = np.linspace(t0, t1, 800)
+    values = awkward_amplitudes(7)
+    points = reference_points(times, values, t0, t1)
+    assert _polyline(_points_template(times, t0, t1), values, "c", "s") == (
         f'<polyline class="c" points="{points}" fill="none" s/>'
     )
+
+
+@pytest.mark.parametrize("t0, t1", RANGES)
+def test_both_figure_curves_match_per_point_format(t0, t1):
+    # distinct x_0 and x_N: a curve drawn with the other's or a stale y shows
+    times = np.linspace(t0, t1, 800)
+    abs_x0, abs_xN = awkward_amplitudes(7), awkward_amplitudes(8)[::-1]
+    figure = ET.fromstring(amplitude_svg(times, abs_x0, abs_xN, [], None).encode())
+    points = {
+        element.get("class"): element.get("points")
+        for element in figure.iter("{http://www.w3.org/2000/svg}polyline")
+    }
+    assert points == {
+        "x0-curve": reference_points(times, abs_x0, t0, t1),
+        "xN-curve": reference_points(times, abs_xN, t0, t1),
+    }
 
 
 class TestCsv:

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from exact import chebyshev_to_power, lattice_weights, odd_multiplicity_roots
 
 from pstchain import (
     SpectralData,
@@ -492,6 +493,77 @@ class TestSignChangeGolden:
         assert not wrong, wrong
         for name, expected in built.items():
             assert getattr(families, name).tobytes() == expected.tobytes(), name
+
+
+def exact_sign_changes(coef) -> int:
+    """Sign changes on (-1, 1) of sum_j coef[j] T_j, for exact coefficients."""
+    return odd_multiplicity_roots(chebyshev_to_power(coef))
+
+
+def exact_gap_family_series(n: int, m: int) -> list[int]:
+    """x_0 of gap family (n, m) as a Chebyshev series, up to a positive scale.
+
+    ``amplitude_as_chebyshev`` puts 2 w(lambda) at degree 2 lambda for each
+    positive eigenvalue; here the weights are ``lattice_weights``' integers.
+    """
+    x, w = lattice_weights(gap_family_spectrum(n, m).eigenvalues)
+    coef = [0] * (max(x) + 1)
+    for xs, ws in zip(x, w):
+        if xs > 0:
+            coef[xs] = ws
+    return coef
+
+
+class TestExactSignCount:
+    """Criterion 7's count in exact arithmetic (``tests/exact.py``): Descartes
+    bisection on the square-free parts of the power-basis polynomial."""
+
+    def test_chebyshev_to_power_matches_numpy(self):
+        rng = np.random.default_rng(20)
+        for degree in (0, 1, 2, 7, 40):
+            coef = rng.integers(-9, 10, size=degree + 1).tolist()
+            power = chebyshev_to_power(coef)
+            assert all(isinstance(a, int) for a in power)
+            np.testing.assert_array_equal(power, np.polynomial.chebyshev.cheb2poly(coef))
+        halves = chebyshev_to_power([Fraction(1, 2), 0, Fraction(-3, 4)])
+        assert halves == [Fraction(5, 4), 0, Fraction(-3, 2)]
+
+    @pytest.mark.parametrize(
+        "factors, count",
+        [
+            ([([-1, 2], 2), ([1, 3], 1)], 1),  # (2y - 1)^2 (3y + 1)
+            ([([-1, 0, 4], 3), ([0, 1], 3)], 3),  # (4y^2 - 1)^3 y^3
+            ([([-1, 0, 4], 2), ([0, 1], 2)], 0),  # even multiplicities only
+            ([([1, 0, 1], 1), ([-1, 1], 1)], 0),  # no real root; a root at y = 1
+            ([([-1, 0, 0, 9], 1), ([1, 5], 2), ([-2, 3], 5)], 2),
+        ],
+    )
+    def test_odd_multiplicity_roots_by_hand(self, factors, count):
+        p = [1]
+        for factor, multiplicity in factors:
+            for _ in range(multiplicity):
+                p = [
+                    sum(p[i] * factor[k - i] for i in range(len(p)) if 0 <= k - i < len(factor))
+                    for k in range(len(p) + len(factor) - 1)
+                ]
+        assert odd_multiplicity_roots(p) == count
+        assert odd_multiplicity_roots([-a for a in p]) == count
+
+    def test_every_gap_family_up_to_n20_m30_counts_2m_plus_1(self):
+        wrong = [
+            (n, m, count)
+            for n in range(2, 21)
+            for m in range(1, 31)
+            if (count := exact_sign_changes(exact_gap_family_series(n, m))) != 2 * m + 1
+        ]
+        assert not wrong, wrong
+
+    @pytest.mark.parametrize("index", range(100))
+    def test_random_golden_count_is_exact(self, index):
+        # the recorded coefficients are floats, each an exact binary rational
+        case = TestSignChangeGolden.golden["random"][index]
+        coef = [0] * case["low"] + [Fraction(a) for a in case["coefficients"]]
+        assert exact_sign_changes(coef) == case["sign_changes"]
 
 
 def full_grid_count(c: np.polynomial.Chebyshev) -> int:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from exact import exact_stieltjes
 
 from pstchain import (
     ReconstructionError,
@@ -109,46 +110,6 @@ def lanczos_reference(sd):
         raise ReconstructionError("asymmetric")
     off = 0.5 * (off + off[::-1])
     return c + np.ldexp(diag, e), np.ldexp(off, e)
-
-
-def exact_stieltjes(lam):
-    """Exact a_k and b_k^2 (Fractions) of the persymmetric measure on the
-    half-integer lattice points ``lam`` (test oracle).
-
-    The nodes x = 2 lam are integers and the weights, proportional to
-    1 / prod_{k!=s}|x_s - x_k|, are scaled to integers, so each monic
-    orthogonal polynomial p_k is kept at the nodes as an integer vector P_k
-    times a rational scale s_k, and the Stieltjes recurrence
-    p_{k+1} = (x - a_k) p_k - b_{k-1}^2 p_{k-1} runs in integer arithmetic.
-    """
-    x = [int(2 * v) for v in lam.tolist()]
-    assert x == [2 * v for v in lam.tolist()], "not on the half-integer lattice"
-    prods = [math.prod(abs(xs - xk) for xk in x if xk != xs) for xs in x]
-    lcm = math.lcm(*prods)
-    w = [lcm // p for p in prods]
-    diag, off2 = [], []
-    P, P_prev = [1] * len(x), [0] * len(x)
-    s, s_prev, b2 = Fraction(1), Fraction(1), Fraction(0)
-    norm = sum(w)
-    while True:
-        a = Fraction(sum(wi * xi * pi * pi for wi, xi, pi in zip(w, x, P)), norm)
-        diag.append(a / 2)
-        if len(diag) == len(x):
-            return diag, off2
-        # with r = b_{k-1}^2 s_{k-1} den(a) / s_k,  p_{k+1} = s_k / (den(a) den(r))
-        # * [den(r) (den(a) x - num(a)) P_k - num(r) P_{k-1}]
-        r = b2 * s_prev * a.denominator / s
-        P_next = [
-            r.denominator * (a.denominator * xi - a.numerator) * pi - r.numerator * qi
-            for xi, pi, qi in zip(x, P, P_prev)
-        ]
-        g = math.gcd(*P_next)
-        P_next = [v // g for v in P_next]
-        s_next = s * g / (a.denominator * r.denominator)
-        norm_next = sum(wi * pi * pi for wi, pi in zip(w, P_next))
-        b2 = (s_next / s) ** 2 * Fraction(norm_next, norm)
-        off2.append(b2 / 4)
-        P_prev, P, s_prev, s, norm = P, P_next, s, s_next, norm_next
 
 
 class TestSpectrumRequest:
