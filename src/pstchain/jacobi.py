@@ -13,23 +13,25 @@ located by multisection on their sign count (the Sturm count), taken from
 the sign bits of unguarded pivots, as IEEE-754 arithmetic allows; the
 eigenvectors' twisted factorizations need the guarded pivots, which never
 divide by zero.  Each eigenvalue starts from a narrow bracket about its
-LAPACK value.  Each pass splits every open interval into ``_SECTIONS``
-equal parts and counts at all their interior shifts in one sweep over the
-sites.  The first pass counts only in a window of ``2 _WINDOW + 1`` of
-those shifts about the LAPACK value; as the count never falls as the shift
-rises, a window whose ends bracket the eigenvalue picks the section the
-whole pass would.  A bracket the window misses takes the whole first pass
-in one more sweep, counted at its ends too, which checks it (a bracket
-that fails restarts from the Gershgorin interval).  About 2 passes reach
-working precision.  Eigenvectors come from twisted factorizations that
-join the forward and backward pivots at the eigenvalue, both from one
-sweep over T and its mirror image for all eigenvalues at once, so a solve
-takes three sweeps, the first one of 2 _WINDOW + 1 shifts per eigenvalue.
-Each sweep splits its pivot array into site rows once, so a site costs two
-ufunc calls in a Sturm count (divide and subtract, with the squared
-coupling as a Python float) and four in a guarded sweep (the guard's abs
-and minimum.reduce too, plus its replacement where it fires), with no
-per-site view.
+LAPACK value, and the bracket's ends set the last bits of the eigenvalue,
+so those bits follow LAPACK's (ROADMAP item 19).  Each pass splits every
+open interval into ``_SECTIONS`` equal parts and counts at all their
+interior shifts in one sweep over the sites.  The first pass counts only in
+a window of ``2 _WINDOW + 1`` of those shifts about the LAPACK value; as
+the count never falls as the shift rises, a window whose ends bracket the
+eigenvalue picks the section the whole pass would.  A bracket the window
+misses takes the whole first pass in one more sweep, counted at its ends
+too, which checks it (a bracket that fails restarts from the Gershgorin
+interval).  About 2 passes reach working precision.  Eigenvectors come from
+twisted factorizations that join the forward and backward pivots at the
+eigenvalue, both from one sweep over T and its mirror image for all
+eigenvalues at once, so a solve takes three sweeps, the first one of
+2 _WINDOW + 1 shifts per eigenvalue.  Each sweep splits its pivot array into
+site rows once, so a site costs two ufunc calls in a Sturm count (divide
+and subtract, with the squared coupling as a Python float) and four in a
+guarded sweep (the guard's abs and minimum.reduce too, plus its replacement
+where it fires), with no per-site view.  A count then sums its sign bits as
+bytes, one add.reduce over the pivots' sign mask viewed as uint8.
 For the supported sizes (at most ``MAX_SITES`` sites) and simple, well
 separated spectra this gives eigenpair residuals and weights at working
 precision, also for strongly localized eigenvectors.
@@ -51,7 +53,8 @@ ESE search and the sign-change count both drop such values, and
 
 A wire is solved once per ``JacobiMatrix`` instance: the spectral data and
 the read-only eigenvector matrix are kept on the instance on first use and
-shared by ``eigendecompose`` and every ``full_evolution_column`` call.
+shared by ``eigendecompose`` and every ``full_evolution_column`` call,
+with the coefficients v_i(s) v_0(s) that those columns sum.
 Likewise a ``SpectralData`` keeps, on first use, the frame's midpoint c with
 the centred spectrum lambda - c, and the alternating-sign x_N coefficients,
 which the transfer phase, the ESE search and every series share.  Value
@@ -111,7 +114,16 @@ _MAX_GRID_POINTS = 1 << 20
 
 
 def _readonly(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+    """A read-only one-dimensional copy of ``values`` as ``dtype``.
+
+    Complex values for a real ``dtype`` raise ValueError instead of losing
+    their imaginary parts.  A list or tuple is converted once, which is its
+    copy.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind == "c" and np.dtype(dtype).kind != "c":
+        raise ValueError("expected real values, got complex ones")
+    arr = arr.astype(dtype, copy=not isinstance(values, (list, tuple)))
     if arr.ndim != 1:
         raise ValueError("expected a one-dimensional sequence")
     arr.setflags(write=False)
@@ -175,10 +187,16 @@ class JacobiMatrix:
         return int(self.diag.size)
 
     @cached_property
-    def _spectral(self) -> tuple[SpectralData, np.ndarray]:
+    def _spectral(self) -> tuple[SpectralData, np.ndarray, np.ndarray]:
         # The instance and its arrays are immutable, so one solve serves
         # every later query; the cache lives and dies with the instance.
-        return _eigensystem(self)
+        # Beside the spectral data and the eigenvectors it keeps
+        # full_evolution_column's coefficients v_i(s) v_0(s), read-only,
+        # one row per eigenvalue s.
+        sd, vectors = _eigensystem(self)
+        coefficients = vectors * vectors[0]
+        coefficients.setflags(write=False)
+        return sd, vectors, coefficients.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,7 +326,8 @@ def _sturm_counts(diag, off2, shifts, pivmin) -> np.ndarray:
 
     The pivot rows are split into a list once and the squared couplings
     taken as Python floats, so a site costs two ufunc calls (divide and
-    subtract) and no view of its own.
+    subtract) and no view of its own.  The sign bits are summed as bytes
+    into int16, which holds any count far beyond ``MAX_SITES``.
     """
     piv = np.subtract(diag, shifts)
     rows = list(piv)
@@ -317,7 +336,8 @@ def _sturm_counts(diag, off2, shifts, pivmin) -> np.ndarray:
         for b2, before, d in zip(off2.ravel().tolist(), rows, rows[1:]):
             np.divide(b2, before, out=buf)
             np.subtract(d, buf, out=d)
-    return np.count_nonzero(np.signbit(piv[:-1]), axis=0) + (piv[-1] < pivmin)
+    negative = np.signbit(piv[:-1]).view(np.uint8)
+    return np.add.reduce(negative, axis=0, dtype=np.int16) + (piv[-1] < pivmin)
 
 
 def _sections(grid, counts, k):
@@ -334,6 +354,26 @@ def _sections(grid, counts, k):
     return held, grid[first - 1, columns], grid[first, columns]
 
 
+def _narrow(lo, hi, k, count):
+    """One multisection pass over brackets count(lo) < k <= count(hi).
+
+    Lays out the shifts lo + f (hi - lo) with both ends in one grid, but
+    counts only at the ``_SECTIONS - 1`` interior ones.  The new hi is the
+    first shift whose count reaches k, hi itself if no interior one does,
+    and the new lo the shift before it.
+    """
+    grid = np.empty((_SECTIONS + 1, lo.size))
+    grid[0], grid[-1] = lo, hi
+    interior = grid[1:-1]
+    np.multiply(_FRACTIONS, hi - lo, out=interior)
+    interior += lo
+    reached = count(interior) >= k
+    first = np.argmax(reached, axis=0) + 1
+    np.copyto(first, _SECTIONS, where=(first == 1) & ~reached[0])
+    columns = np.arange(lo.size)
+    return grid[first - 1, columns], grid[first, columns]
+
+
 def _bisect_eigenvalues(diag, off, off2, pivmin) -> np.ndarray:
     """All eigenvalues of the tridiagonal matrix, in increasing order.
 
@@ -344,10 +384,11 @@ def _bisect_eigenvalues(diag, off, off2, pivmin) -> np.ndarray:
 
     Multisection on the Sturm count (Lo, Philippe & Sameh 1987): each pass
     evaluates every open interval (lo, hi) at ``_SECTIONS - 1`` equally
-    spaced interior shifts in one ``_sturm_counts`` call.  The new hi is the
-    first shift whose count reaches the eigenvalue's index and the new lo is
-    the shift just before it, so count(lo) < index <= count(hi) holds by
-    construction and each pass narrows the interval ``_SECTIONS``-fold.
+    spaced interior shifts in one ``_sturm_counts`` call (``_narrow``).  The
+    new hi is the first shift whose count reaches the eigenvalue's index and
+    the new lo is the shift just before it, so count(lo) < index <= count(hi)
+    holds by construction and each pass narrows the interval
+    ``_SECTIONS``-fold.
 
     When every guess is finite, the first pass counts only at its
     ``2 _WINDOW + 1`` shifts nearest the guess, the window.  The Sturm
@@ -358,8 +399,10 @@ def _bisect_eigenvalues(diag, off, off2, pivmin) -> np.ndarray:
     takes the whole first pass in one more sweep, counted at its two ends
     too, which checks the bracket: one that fails count(lo) < index <=
     count(hi) restarts from the padded Gershgorin interval, and that pass
-    leaves it otherwise untouched.  Either way the Sturm count alone
-    decides every bracket, and LAPACK only saves passes.
+    leaves it otherwise untouched.  The Sturm count alone decides which
+    bracket holds the eigenvalue, but LAPACK's guess sets the bracket's
+    ends, and through them the final midpoint: a guess one ulp away can
+    change the eigenvalue's last bits (ROADMAP item 19).
 
     An interval stops once its width is at most
     max(atol, 2 eps max(|lo|, |hi|)), with atol = eps times the larger
@@ -367,18 +410,18 @@ def _bisect_eigenvalues(diag, off, off2, pivmin) -> np.ndarray:
     Each eigenvalue is then accurate to about eps times the spectral scale,
     and a seeded bracket, 16 n atol wide, stops after about 2 passes.
     Intervals that can no longer be split in floating point also stop, and
-    the pass budget bounds the loop.
+    the pass budget bounds the loop.  A pass on which every interval is open
+    replaces lo and hi whole.
 
     A solve with a coupling too weak for the sign-bit count, one whose
     square underflows or nearly, takes every count from the guarded
     ``_pivots`` instead.
     """
     n = diag.size
-    radius = np.zeros(n)
-    radius[:-1] += np.abs(off)
-    radius[1:] += np.abs(off)
-    glo = float(np.min(diag - radius))
-    ghi = float(np.max(diag + radius))
+    radius = np.concatenate((off, [0.0]))
+    radius[1:] += off
+    glo = float((diag - radius).min())
+    ghi = float((diag + radius).max())
     atol = _EPS * max(abs(glo), abs(ghi))
     pad = 1e-3 * (ghi - glo)
     want = np.arange(1, n + 1)
@@ -394,8 +437,7 @@ def _bisect_eigenvalues(diag, off, off2, pivmin) -> np.ndarray:
     except np.linalg.LinAlgError:
         guess = np.full(n, np.nan)
     seeded = np.isfinite(guess)
-    lo = np.where(seeded, guess - 8 * n * atol, glo - pad)
-    hi = np.where(seeded, guess + 8 * n * atol, ghi + pad)
+    lo, hi = guess - 8 * n * atol, guess + 8 * n * atol
     sites = diag[:, None, None], off2[:, None, None]
     # The IEEE count needs a pivot below pivmin to make the next one -b^2/d
     # to working precision, so b^2 / pivmin must exceed every |a - sigma|,
@@ -403,17 +445,22 @@ def _bisect_eigenvalues(diag, off, off2, pivmin) -> np.ndarray:
     # underflows in the unit frame) counts with the guard, in every sweep.
     if off2.min() * _EPS < pivmin * (ghi - glo + 2 * pad):
         def count(shifts):
-            return np.count_nonzero(_pivots(*sites, shifts, pivmin) < 0.0, axis=0)
+            negative = (_pivots(*sites, shifts, pivmin) < 0.0).view(np.uint8)
+            return np.add.reduce(negative, axis=0, dtype=np.int16)
     else:
         def count(shifts):
             return _sturm_counts(*sites, shifts, pivmin)
-    missed = np.arange(n)
     if seeded.all():
         grid = lo + _WINDOW_FRACTIONS * (hi - lo)
         held, a, b = _sections(grid, count(grid), want)
-        lo, hi = np.where(held, a, lo), np.where(held, b, hi)
-        missed = np.nonzero(~held)[0]
-    if missed.size:
+        if held.all():
+            lo, hi, missed = a, b, None
+        else:
+            lo[held], hi[held], missed = a[held], b[held], ~held
+    else:
+        lo[~seeded], hi[~seeded] = glo - pad, ghi + pad
+        missed = np.ones(n, dtype=bool)
+    if missed is not None:
         a, b, k = lo[missed], hi[missed], want[missed]
         grid = np.vstack([a, a + _FRACTIONS * (b - a), b])
         held, a, b = _sections(grid, count(grid), k)
@@ -422,16 +469,14 @@ def _bisect_eigenvalues(diag, off, off2, pivmin) -> np.ndarray:
     for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         width = np.maximum(atol, 2.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi)))
-        active = np.nonzero((hi - lo > width) & (mid > lo) & (mid < hi))[0]
-        if not active.size:
+        active = (hi - lo > width) & (mid > lo) & (mid < hi)
+        if active.all():
+            lo, hi = _narrow(lo, hi, want, count)
+        elif active.any():
+            narrowed = _narrow(lo[active], hi[active], want[active], count)
+            lo[active], hi[active] = narrowed
+        else:
             break
-        a, b, k = lo[active], hi[active], want[active]
-        grid = np.vstack([a, a + _FRACTIONS * (b - a), b])
-        # count(a) < k <= count(b) by construction
-        counts = np.empty(grid.shape, dtype=int)
-        counts[0], counts[-1] = k - 1, k
-        counts[1:-1] = count(grid[1:-1])
-        _, lo[active], hi[active] = _sections(grid, counts, k)
     return 0.5 * (lo + hi)
 
 
@@ -453,14 +498,17 @@ def _twisted_vectors(diag, off, off2, lam, pivmin) -> np.ndarray:
     )
     d, r = both[:, 0], both[::-1, 1]
     twist = np.argmin(np.abs(d + r - (diag[:, None] - lam)), axis=0)
-    up = -off[:, None] / d[:-1]
-    down = -off[:, None] / r[1:]
+    minus_off = -off[:, None]
+    up = minus_off / d[:-1]
+    down = minus_off / r[1:]
     # products taken outward from the twist, a factor 1 on the other side:
     # the same multiplications, in the same order, as the walk from z_k = 1
-    i = np.arange(diag.size - 1)[:, None]
+    below = np.arange(diag.size - 1)[:, None] >= twist
+    np.copyto(up, 1.0, where=below)
+    np.copyto(down, 1.0, where=~below)
     z = np.ones_like(d)
-    z[:-1] = np.multiply.accumulate(np.where(i < twist, up, 1.0)[::-1])[::-1]
-    z[1:] *= np.multiply.accumulate(np.where(i >= twist, down, 1.0))
+    z[:-1] = np.multiply.accumulate(up[::-1])[::-1]
+    z[1:] *= np.multiply.accumulate(down)
     # the 2-norm of each column as numpy.linalg.norm takes it for real input
     return z / np.sqrt(np.add.reduce(z * z, axis=0))
 
@@ -473,8 +521,9 @@ def _eigensystem(J: JacobiMatrix) -> tuple[SpectralData, np.ndarray]:
     and leaves the eigenvectors, hence a shifted wire's weights, unchanged.
     """
     c, _ = _frame((J.diag.min(), J.diag.max()))
-    _, e = np.frexp(max(np.abs(J.diag - c).max(), J.offdiag.max()))
-    diag, off = np.ldexp(J.diag - c, -e), np.ldexp(J.offdiag, -e)
+    centred = J.diag - c
+    e = math.frexp(max(float(np.abs(centred).max()), float(J.offdiag.max())))[1]
+    diag, off = np.ldexp(centred, -e), np.ldexp(J.offdiag, -e)
     off2 = off * off
     pivmin = _TINY  # LAPACK's tiny * max(1, b^2), as b^2 < 1
     mu = _bisect_eigenvalues(diag, off, off2, pivmin)
@@ -487,12 +536,12 @@ def _eigensystem(J: JacobiMatrix) -> tuple[SpectralData, np.ndarray]:
         )
     scale = float(np.abs(lam).max())
     gaps = lam[1:] - lam[:-1]
-    tight = np.nonzero(gaps <= GAP_RTOL * scale)[0]
-    if tight.size:
-        bad = int(tight[0]) + 1
+    tight = gaps <= GAP_RTOL * scale
+    if tight.any():
+        bad = int(tight.argmax()) + 1
         # the brackets of an exact double eigenvalue can stop at crossed
         # midpoints; a computed gap below 0 is reported as 0
-        gap = max(0.0, float(gaps[tight[0]]))
+        gap = max(0.0, float(gaps[bad - 1]))
         raise EigensolverError(
             f"eigenvalue {bad} is numerically degenerate "
             f"(gap {gap:.3e} at scale {scale:.3e})",
@@ -571,11 +620,14 @@ def _finite_phases(sd: SpectralData, t_max: float) -> bool:
 
 
 def _times(sd: SpectralData, times) -> np.ndarray:
-    """``times`` as a float array of at least one dimension, every phase finite.
+    """``times`` as a one-dimensional float array, every phase finite.
 
-    ValueError names the first time whose phases are not finite.
+    A scalar becomes one time; more than one dimension raises ValueError,
+    as does a time whose phases are not finite, which the message names.
     """
     t = np.atleast_1d(np.asarray(times, dtype=float))
+    if t.ndim > 1:
+        raise ValueError(f"times must be one-dimensional, got shape {t.shape}")
     if not _finite_phases(sd, float(np.abs(t).max(initial=0.0))):
         bad = next(x for x in t.tolist() if not _finite_phases(sd, abs(x)))
         raise ValueError(f"t = {bad!r} gives non-finite phases")
@@ -703,9 +755,14 @@ def full_evolution_column(J: JacobiMatrix, t: float) -> np.ndarray:
     """All components of exp(-iJt) e_0 via the full eigendecomposition.
 
     Component i is the spectral sum with coefficients v_i(s) v_0(s).  The
-    eigendecomposition is computed once per instance and shared with
-    ``eigendecompose``, so each further time costs one spectral sum.  A time
-    whose phases are not finite raises ValueError naming it.
+    eigendecomposition and those coefficients are computed once per
+    instance, the decomposition shared with ``eigendecompose``, so each
+    further time costs one spectral sum.  ``t`` is a single time: an array
+    of times raises ValueError, as does a time whose phases are not finite,
+    which the message names.
     """
-    sd, vectors = J._spectral
-    return _spectral_sum(sd, _times(sd, t), (vectors * vectors[0]).T)[0]
+    t = np.asarray(t, dtype=float)
+    if t.ndim:
+        raise ValueError(f"t must be a single time, got shape {t.shape}")
+    sd, _, coefficients = J._spectral
+    return _spectral_sum(sd, _times(sd, t), coefficients)[0]

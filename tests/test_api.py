@@ -2,6 +2,7 @@
 
 import types
 
+import numpy as np
 import pytest
 
 import pstchain
@@ -52,3 +53,23 @@ def test_array_holding_values_compare_and_hash_by_identity(name):
     assert not value == copy and value != copy
     assert hash(value) == hash(value)
     assert len({value, copy}) == 2
+
+
+COMPLEX_INPUTS = {
+    "SpectrumRequest": lambda: pstchain.SpectrumRequest(
+        np.array([0.0, 1.0 + 0.5j, 2.0])
+    ),
+    "JacobiMatrix": lambda: pstchain.JacobiMatrix(
+        diag=np.array([1.0 + 2.0j, 0.0]), offdiag=[1.0]
+    ),
+    "SpectralData": lambda: pstchain.SpectralData(
+        eigenvalues=[-1.0, 1.0], weights=np.array([0.5 + 0.1j, 0.5])
+    ),
+}
+
+
+@pytest.mark.parametrize("name", COMPLEX_INPUTS)
+def test_complex_input_to_a_real_field_is_rejected(name):
+    # it used to lose its imaginary part with only a ComplexWarning
+    with pytest.raises(ValueError, match="complex"):
+        COMPLEX_INPUTS[name]()
