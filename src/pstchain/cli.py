@@ -61,10 +61,7 @@ def _spectral_data_from_document(doc) -> SpectralData:
         return persymmetric_weights(SpectrumRequest(doc))
     if isinstance(doc, dict):
         if "spectrum" in doc and "weights" in doc:
-            return SpectralData(
-                eigenvalues=np.asarray(doc["spectrum"], dtype=float),
-                weights=np.asarray(doc["weights"], dtype=float),
-            )
+            return SpectralData(eigenvalues=doc["spectrum"], weights=doc["weights"])
         if "matrix" in doc:
             matrix = doc["matrix"]
             return eigendecompose(

@@ -19,6 +19,7 @@ count; all are read-only arrays.
 from __future__ import annotations
 
 import functools
+import sys
 
 import numpy as np
 
@@ -71,6 +72,8 @@ def gap_family_spectrum(n: int, m: int) -> SpectrumRequest:
         raise ValueError("n must be an integer >= 2")
     if m < 1:
         raise ValueError("m must be a positive integer")
+    if m > sys.float_info.max:
+        raise ValueError("m must lie within float range")
     if 2 * n > MAX_SITES:
         raise ValueError(f"spectrum size must be at most {MAX_SITES}, got {2 * n}")
     upper = (2.0 * m + 2.0 * np.arange(n) + 1.0) / 2.0

@@ -19,22 +19,21 @@ open interval into ``_SECTIONS`` equal parts and counts at all their
 interior shifts in one sweep over the sites.  The first pass counts only in
 a window of ``2 _WINDOW + 1`` of those shifts about the LAPACK value; as
 the count never falls as the shift rises, a window whose ends bracket the
-eigenvalue picks the section the whole pass would.  A bracket the window
-misses takes the whole first pass in one more sweep, counted at its ends
-too, which checks it (a bracket that fails restarts from the Gershgorin
-interval).  About 2 passes reach working precision.  Eigenvectors come from
-twisted factorizations that join the forward and backward pivots at the
-eigenvalue, both from one sweep over T and its mirror image for all
-eigenvalues at once, so a solve takes three sweeps, the first one of
-2 _WINDOW + 1 shifts per eigenvalue.  Each sweep splits its pivot array into
-site rows once, so a site costs two ufunc calls in a Sturm count (divide
-and subtract, with the squared coupling as a Python float) and four in a
-guarded sweep (the guard's abs and minimum.reduce too, plus its replacement
-where it fires), with no per-site view.  A count then sums its sign bits as
-bytes, one add.reduce over the pivots' sign mask viewed as uint8.
-For the supported sizes (at most ``MAX_SITES`` sites) and simple, well
-separated spectra this gives eigenpair residuals and weights at working
-precision, also for strongly localized eigenvectors.
+eigenvalue picks the section the whole pass would, and every other bracket
+restarts from the Gershgorin interval.  About 2 passes reach working
+precision.  Eigenvectors come from twisted factorizations that join the
+forward and backward pivots at the eigenvalue, both from one sweep over T
+and its mirror image for all eigenvalues at once, so a solve takes three
+sweeps, the first one of 2 _WINDOW + 1 shifts per eigenvalue.  Each sweep
+splits its pivot array into site rows once, so a site costs two ufunc calls
+in a Sturm count (divide and subtract, with the squared coupling as a
+Python float) and four in a guarded sweep (the guard's abs and
+minimum.reduce too, plus its replacement where it fires), with no per-site
+view.  A count then sums its sign bits as bytes, one add.reduce over the
+pivots' sign mask viewed as uint8.  For the supported sizes (at most
+``MAX_SITES`` sites) and simple, well separated spectra this gives
+eigenpair residuals and weights at working precision, also for strongly
+localized eigenvectors.
 
 The kernels work in one affine frame, ``_frame``: on (lambda - c) 2^-e,
 with c the midpoint and 2^e the power of two above the half-span (the
@@ -117,13 +116,16 @@ def _readonly(values, dtype=float) -> np.ndarray:
     """A read-only one-dimensional copy of ``values`` as ``dtype``.
 
     Complex values for a real ``dtype`` raise ValueError instead of losing
-    their imaginary parts.  A list or tuple is converted once, which is its
-    copy.
+    their imaginary parts, as do integers beyond float range instead of
+    raising OverflowError.  A list or tuple is converted once, its copy.
     """
     arr = np.asarray(values)
     if arr.dtype.kind == "c" and np.dtype(dtype).kind != "c":
         raise ValueError("expected real values, got complex ones")
-    arr = arr.astype(dtype, copy=not isinstance(values, (list, tuple)))
+    try:
+        arr = arr.astype(dtype, copy=not isinstance(values, (list, tuple)))
+    except OverflowError:
+        raise ValueError("expected values within float range") from None
     if arr.ndim != 1:
         raise ValueError("expected a one-dimensional sequence")
     arr.setflags(write=False)
@@ -340,38 +342,25 @@ def _sturm_counts(diag, off2, shifts, pivmin) -> np.ndarray:
     return np.add.reduce(negative, axis=0, dtype=np.int16) + (piv[-1] < pivmin)
 
 
-def _sections(grid, counts, k):
-    """Whether each column of ``grid`` brackets its eigenvalue, and the section.
+def _narrow(lo, hi, k, count, fractions=_FRACTIONS):
+    """One multisection pass over brackets (lo, hi) of the indices ``k``.
 
-    Column j of ``grid`` holds increasing shifts for the eigenvalue of index
-    ``k[j]``, and ``counts`` their Sturm counts.  The shifts bracket it where
-    count(grid[0]) < k <= count(grid[-1]); the section is then the first
-    shift whose count reaches k and the shift before it.
+    Counts at the interior shifts lo + f (hi - lo), f in ``fractions``.  The
+    new hi is the first shift whose count reaches k, hi itself if none does,
+    and the new lo the shift before it, so count(lo) < k <= count(hi) holds
+    after the pass if it held before.  Also returns whether each interior
+    count reaches k, one row per fraction.
     """
-    held = (counts[0] < k) & (k <= counts[-1])
-    first = np.argmax(counts >= k, axis=0)
-    columns = np.arange(k.size)
-    return held, grid[first - 1, columns], grid[first, columns]
-
-
-def _narrow(lo, hi, k, count):
-    """One multisection pass over brackets count(lo) < k <= count(hi).
-
-    Lays out the shifts lo + f (hi - lo) with both ends in one grid, but
-    counts only at the ``_SECTIONS - 1`` interior ones.  The new hi is the
-    first shift whose count reaches k, hi itself if no interior one does,
-    and the new lo the shift before it.
-    """
-    grid = np.empty((_SECTIONS + 1, lo.size))
+    grid = np.empty((fractions.shape[0] + 2, lo.size))
     grid[0], grid[-1] = lo, hi
     interior = grid[1:-1]
-    np.multiply(_FRACTIONS, hi - lo, out=interior)
+    np.multiply(fractions, hi - lo, out=interior)
     interior += lo
     reached = count(interior) >= k
     first = np.argmax(reached, axis=0) + 1
-    np.copyto(first, _SECTIONS, where=(first == 1) & ~reached[0])
+    np.copyto(first, grid.shape[0] - 1, where=(first == 1) & ~reached[0])
     columns = np.arange(lo.size)
-    return grid[first - 1, columns], grid[first, columns]
+    return grid[first - 1, columns], grid[first, columns], reached
 
 
 def _bisect_eigenvalues(diag, off, off2, pivmin) -> np.ndarray:
@@ -390,19 +379,17 @@ def _bisect_eigenvalues(diag, off, off2, pivmin) -> np.ndarray:
     holds by construction and each pass narrows the interval
     ``_SECTIONS``-fold.
 
-    When every guess is finite, the first pass counts only at its
-    ``2 _WINDOW + 1`` shifts nearest the guess, the window.  The Sturm
-    count never falls as the shift rises (Kahan 1966; Demmel, Dhillon &
-    Ren 1995), so where the window's ends bracket the eigenvalue, its
-    first shift that reaches the index is the one the whole pass would
-    pick, and the interval is the same to the bit.  Every other interval
-    takes the whole first pass in one more sweep, counted at its two ends
-    too, which checks the bracket: one that fails count(lo) < index <=
-    count(hi) restarts from the padded Gershgorin interval, and that pass
-    leaves it otherwise untouched.  The Sturm count alone decides which
-    bracket holds the eigenvalue, but LAPACK's guess sets the bracket's
-    ends, and through them the final midpoint: a guess one ulp away can
-    change the eigenvalue's last bits (ROADMAP item 19).
+    The first pass counts only at the ``2 _WINDOW + 1`` shifts of each
+    bracket nearest its middle, the window.  The Sturm count never falls as
+    the shift rises (Kahan 1966; Demmel, Dhillon & Ren 1995), so where the
+    window's ends bracket the eigenvalue, its first shift that reaches the
+    index is the one the whole pass would pick, and the interval is the
+    same to the bit.  Every other bracket, whose window missed or whose
+    guess was wrong, restarts from the padded Gershgorin interval.  The
+    Sturm count alone decides which bracket holds the eigenvalue, but
+    LAPACK's guess sets the bracket's ends, and through them the final
+    midpoint: a guess one ulp away can change the eigenvalue's last bits
+    (ROADMAP item 19).
 
     An interval stops once its width is at most
     max(atol, 2 eps max(|lo|, |hi|)), with atol = eps times the larger
@@ -436,8 +423,9 @@ def _bisect_eigenvalues(diag, off, off2, pivmin) -> np.ndarray:
         guess = np.linalg.eigvalsh(dense)
     except np.linalg.LinAlgError:
         guess = np.full(n, np.nan)
-    seeded = np.isfinite(guess)
     lo, hi = guess - 8 * n * atol, guess + 8 * n * atol
+    unseeded = ~np.isfinite(guess)
+    lo[unseeded], hi[unseeded] = glo - pad, ghi + pad
     sites = diag[:, None, None], off2[:, None, None]
     # The IEEE count needs a pivot below pivmin to make the next one -b^2/d
     # to working precision, so b^2 / pivmin must exceed every |a - sigma|,
@@ -450,31 +438,18 @@ def _bisect_eigenvalues(diag, off, off2, pivmin) -> np.ndarray:
     else:
         def count(shifts):
             return _sturm_counts(*sites, shifts, pivmin)
-    if seeded.all():
-        grid = lo + _WINDOW_FRACTIONS * (hi - lo)
-        held, a, b = _sections(grid, count(grid), want)
-        if held.all():
-            lo, hi, missed = a, b, None
-        else:
-            lo[held], hi[held], missed = a[held], b[held], ~held
-    else:
-        lo[~seeded], hi[~seeded] = glo - pad, ghi + pad
-        missed = np.ones(n, dtype=bool)
-    if missed is not None:
-        a, b, k = lo[missed], hi[missed], want[missed]
-        grid = np.vstack([a, a + _FRACTIONS * (b - a), b])
-        held, a, b = _sections(grid, count(grid), k)
-        lo[missed] = np.where(held, a, glo - pad)
-        hi[missed] = np.where(held, b, ghi + pad)
+    lo, hi, reached = _narrow(lo, hi, want, count, _WINDOW_FRACTIONS)
+    missed = reached[0] | ~reached[-1]
+    lo[missed], hi[missed] = glo - pad, ghi + pad
     for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         width = np.maximum(atol, 2.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi)))
         active = (hi - lo > width) & (mid > lo) & (mid < hi)
         if active.all():
-            lo, hi = _narrow(lo, hi, want, count)
+            lo, hi, _ = _narrow(lo, hi, want, count)
         elif active.any():
-            narrowed = _narrow(lo[active], hi[active], want[active], count)
-            lo[active], hi[active] = narrowed
+            a, b, _ = _narrow(lo[active], hi[active], want[active], count)
+            lo[active], hi[active] = a, b
         else:
             break
     return 0.5 * (lo + hi)
@@ -566,9 +541,9 @@ def eigendecompose(J: JacobiMatrix) -> SpectralData:
     Eigenvalues come from multisection on the Sturm count, from brackets
     seeded by LAPACK, in about 2 sweeps over the sites: the first counts
     only in a window of 9 shifts about each LAPACK value, and a bracket
-    the window misses takes the whole first pass, with its check, in one
-    more sweep.  The counts come from the sign bits of unguarded pivots,
-    or from guarded ones where a coupling's square underflows.
+    the window misses restarts from the Gershgorin interval.  The counts
+    come from the sign bits of unguarded pivots, or from guarded ones where
+    a coupling's square underflows.
     Eigenvectors come from twisted factorization, on guarded pivots, in
     one more sweep; weights are the squared first components, renormalized
     to sum to exactly 1.

@@ -73,3 +73,22 @@ def test_complex_input_to_a_real_field_is_rejected(name):
     # it used to lose its imaginary part with only a ComplexWarning
     with pytest.raises(ValueError, match="complex"):
         COMPLEX_INPUTS[name]()
+
+
+HUGE = 10**400  # a Python integer beyond float range
+
+OVERFLOWING_INPUTS = {
+    "SpectrumRequest": lambda: pstchain.SpectrumRequest([-HUGE, HUGE]),
+    "JacobiMatrix": lambda: pstchain.JacobiMatrix(diag=[0.0, 0.0], offdiag=[HUGE]),
+    "SpectralData": lambda: pstchain.SpectralData(
+        eigenvalues=[-1.0, 1.0], weights=[HUGE, 0.5]
+    ),
+    "gap_family_spectrum": lambda: pstchain.gap_family_spectrum(2, HUGE),
+}
+
+
+@pytest.mark.parametrize("name", OVERFLOWING_INPUTS)
+def test_integer_beyond_float_range_is_rejected(name):
+    # it used to raise OverflowError, which no caller expects of bad input
+    with pytest.raises(ValueError, match="float range"):
+        OVERFLOWING_INPUTS[name]()

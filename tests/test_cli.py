@@ -552,6 +552,18 @@ FAILED_RUNS = [  # exit code, argv; {name} is a file of the test's
     (2, ["evolve", "--in", "{deep}", "--t0", "0", "--t1", "1", "--steps", "4"]),
     (2, ["plot", "--in", "{deep}", "--t0", "0", "--t1", "1"]),
     (2, ["construct", "from-spectrum", "--in", "{deep}"]),
+    # a JSON integer beyond float range, in each place a document holds numbers
+    *[
+        (2, [*command, "--in", f"{{{document}}}"])
+        for command in (
+            ["analyze"],
+            ["evolve", "--t0", "0", "--t1", "1", "--steps", "4"],
+            ["plot", "--t0", "0", "--t1", "1"],
+        )
+        for document in ("huge_spectrum", "huge_weights", "huge_matrix")
+    ],
+    (2, ["construct", "from-spectrum", "--in", "{huge_spectrum}"]),
+    (2, ["construct", "gap-family", "--n", "2", "--m", str(10**400)]),
 ]
 
 
@@ -659,6 +671,9 @@ class TestManifest:
             "weak": tmp_path / "weak.json",
             "deep": tmp_path / "deep.json",
             "deep_spectrum": tmp_path / "deep_spectrum.json",
+            "huge_spectrum": tmp_path / "huge_spectrum.json",
+            "huge_weights": tmp_path / "huge_weights.json",
+            "huge_matrix": tmp_path / "huge_matrix.json",
         }
         files["bad"].write_text("{not json")
         files["undecidable"].write_text("[0.0, 1e-06, 1.000001]\n")
@@ -669,6 +684,14 @@ class TestManifest:
         nested = "[" * 5000 + "]" * 5000
         files["deep"].write_text(nested)
         files["deep_spectrum"].write_text(f'{{"spectrum": {nested}}}')
+        huge = 10**400  # json writes and reads it as an exact integer
+        files["huge_spectrum"].write_text(json.dumps([-huge, huge]))
+        files["huge_weights"].write_text(
+            json.dumps({"spectrum": [-1.0, 1.0], "weights": [huge, 0.5]})
+        )
+        files["huge_matrix"].write_text(
+            json.dumps({"matrix": {"diag": [0.0, 0.0], "offdiag": [huge]}})
+        )
         out = tmp_path / "out"
         argv = [arg.format(**files) for arg in argv]
         code_got, stdout, stderr = run([*argv, "--out", out])

@@ -111,8 +111,9 @@ def five_sweep_pivots(diag, off2, shifts, pivmin):
 
 def five_sweep_bisection(diag, off, off2, pivmin):
     """Reference for ``jacobi._bisect_eigenvalues``: a sweep of its own checks
-    the seeded brackets, and every multisection pass then counts only at the
-    interior shifts."""
+    each seeded bracket at its first-pass window's two end shifts, a bracket
+    that fails restarts from the padded Gershgorin interval, and every
+    multisection pass then counts only at the interior shifts."""
     n = diag.size
     radius = np.zeros(n)
     radius[:-1] += np.abs(off)
@@ -128,9 +129,9 @@ def five_sweep_bisection(diag, off, off2, pivmin):
     except np.linalg.LinAlgError:
         guess = np.full(n, np.nan)
     lo, hi = guess - 8 * n * atol, guess + 8 * n * atol
-    ends = np.concatenate([lo, hi])
+    ends = lo + jacobi._WINDOW_FRACTIONS[[0, -1]] * (hi - lo)
     counts = np.count_nonzero(five_sweep_pivots(diag, off2, ends, pivmin) < 0.0, axis=0)
-    seeded = np.isfinite(guess) & (counts[:n] < want) & (want <= counts[n:])
+    seeded = np.isfinite(guess) & (counts[0] < want) & (want <= counts[1])
     lo = np.where(seeded, lo, glo - pad)
     hi = np.where(seeded, hi, ghi + pad)
     fractions = np.arange(1, jacobi._SECTIONS)[:, None] / jacobi._SECTIONS
@@ -270,7 +271,7 @@ def corrupt_eigvalsh(monkeypatch, corruption):
     monkeypatch.setattr(np.linalg, "eigvalsh", corrupted)
 
 
-CORRUPTIONS = ["rolled", "shifted", "nan", "error"]
+CORRUPTIONS = ["rolled", "shifted", "nan", "error", "nudged"]
 
 
 def fallback_wires():
@@ -568,17 +569,20 @@ class TestEigendecompose:
         with pytest.raises(EigensolverError, match="too large"):
             eigendecompose(JacobiMatrix(diag=[huge, huge], offdiag=[huge]))
 
-    @pytest.mark.parametrize("case", [*range(1, 41), *DRAWS])
+    @pytest.mark.parametrize(
+        "case", [*range(1, 41), "surgery", "gap", "odd-gap", *DRAWS]
+    )
     def test_bisection_sweeps_odd_krawtchouk(self, case, monkeypatch):
         # every Krawtchouk chain (odd site counts put an eigenvalue at
-        # exactly 0) and the seeded draws: every eigenvalue lies in the
-        # first pass's window of 9 shifts about its guess, 32-way
+        # exactly 0) and every other kind of five-sweep wire: every
+        # eigenvalue lies in the first pass's window of 9 shifts about its
+        # guess, so no bracket restarts from the Gershgorin interval, 32-way
         # multisection takes at most 2 passes, and one sweep gives the
         # twisted factorization
         if isinstance(case, int):
             wires = [krawtchouk_chain(case)]
         else:
-            wires = random_wires(case)
+            wires = five_sweep_wires(case)
         calls = count_calls(monkeypatch, "_sturm_counts", "_pivots")
         for J in wires:
             calls.clear()
@@ -641,24 +645,13 @@ class TestEigendecompose:
 
     @pytest.mark.parametrize("corruption", CORRUPTIONS)
     def test_rejected_seed_matches_five_sweep_solver(self, corruption, monkeypatch):
-        # a bracket that fails the check skips the first pass, so it takes
-        # one pass more than with a separate check sweep, and no other bit
+        # a bracket whose window fails the check restarts from the
+        # Gershgorin interval after the window's sweep, where the reference
+        # restarts after its check sweep: the same passes follow, and the
+        # same bits
         corrupt_eigvalsh(monkeypatch, corruption)
         for J in fallback_wires():
             assert_matches_five_sweep_solver(J, monkeypatch)
-
-    def test_seed_outside_the_window_takes_the_whole_first_pass(self, monkeypatch):
-        # every window misses, so each bracket takes the whole first pass
-        # in a sweep of its own, holds there and then joins pass 2: one
-        # sweep more than a seed inside the window, and no other bit (a
-        # 2-site wire needs no pass 2, the reference solver neither helper)
-        corrupt_eigvalsh(monkeypatch, "nudged")
-        calls = count_calls(monkeypatch, "_sturm_counts", "_pivots")
-        for J in fallback_wires():
-            calls.clear()
-            assert_matches_five_sweep_solver(J, monkeypatch)
-            assert len(calls) == (3 if J.n_sites == 2 else 4)
-            assert calls[1][2].shape == (33, J.n_sites)
 
     @pytest.mark.xfail(
         strict=True,
@@ -679,15 +672,19 @@ class TestEigendecompose:
     @pytest.mark.parametrize("corruption", CORRUPTIONS)
     def test_rejected_seed_falls_back_to_gershgorin(self, corruption, monkeypatch):
         # guesses that sit on a neighbouring eigenvalue, lie three spectral
-        # spans away or are not numbers fail the Sturm check, as does every
-        # guess when LAPACK fails; their brackets restart from the
-        # Gershgorin interval, which costs passes but no accuracy
+        # spans away, lie just outside the window or are not numbers fail
+        # the window's Sturm check, as does every guess when LAPACK fails;
+        # their brackets restart from the Gershgorin interval, which costs
+        # passes but no accuracy.  The first sweep counts at the 9 window
+        # shifts in every case, a guess that is not a number on the
+        # Gershgorin interval's.
         corrupt_eigvalsh(monkeypatch, corruption)
         calls = count_calls(monkeypatch, "_sturm_counts", "_pivots")
         eps = np.finfo(float).eps
         for J in fallback_wires():
             calls.clear()
             lam = _eigensystem(J)[0].eigenvalues
+            assert calls[0][2].shape == (9, J.n_sites)
             assert len(calls) - 2 > 1 + 2
             scale = np.abs(lam).max()
             assert np.abs(lam - plain_bisection(J)).max() <= 2 * eps * scale
