@@ -28,7 +28,6 @@ from .errors import ChainError
 from .families import gap_family_spectrum, krawtchouk_chain, surgery_spectrum
 from .inverse import SpectrumRequest, persymmetric_weights, reconstruct_jacobi
 from .jacobi import (
-    MAX_SITES,
     JacobiMatrix,
     SpectralData,
     amplitude_series,
@@ -104,15 +103,9 @@ def _spectrum_file(args: argparse.Namespace) -> SpectrumRequest:
     return SpectrumRequest(doc)
 
 
-def _krawtchouk_spectrum(args: argparse.Namespace) -> SpectrumRequest:
-    # the site cap comes first: np.arange would allocate N + 1 values
-    _require(args.N < MAX_SITES, f"N must be at most {MAX_SITES - 1}")
-    return SpectrumRequest(np.arange(args.N + 1) - args.N / 2.0)
-
-
 # kind -> (argparse dests it needs, spectrum factory)
 _CONSTRUCT_KINDS = {
-    "krawtchouk": (("N",), _krawtchouk_spectrum),
+    "krawtchouk": (("N",), lambda a: SpectrumRequest(np.arange(a.N + 1) - a.N / 2.0)),
     "gap-family": (("n", "m"), lambda a: gap_family_spectrum(a.n, a.m)),
     "surgery": (("N",), lambda a: surgery_spectrum(a.N)),
     "example-4x4": ((), lambda a: surgery_spectrum(3)),
@@ -130,12 +123,12 @@ def cmd_construct(args: argparse.Namespace) -> str:
         if getattr(args, dest) is None
     ]
     _require(not missing, f"{kind} requires {' and '.join(missing)}")
+    # the closed-form chain keeps exact zeros on the diagonal; built first,
+    # it checks N before np.arange allocates N + 1 values
+    chain = krawtchouk_chain(args.N) if kind == "krawtchouk" else None
     request = factory(args)
     sd = persymmetric_weights(request)
-    # the closed-form chain keeps exact zeros on the diagonal
-    if kind == "krawtchouk":
-        chain = krawtchouk_chain(args.N)
-    else:
+    if chain is None:
         chain = reconstruct_jacobi(sd)
     cert = detect_pst(request, args.tol)
     document = {

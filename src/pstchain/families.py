@@ -6,14 +6,13 @@ cos^N(t/2).  Gap-family spectra are symmetric with unit gaps except an odd
 middle gap 2m+1; their boundary amplitude is a short Chebyshev series in
 cos(t/2), a ``numpy.polynomial.Chebyshev``, which is where the sign-change
 counting lives.  The count samples the series on an exactly antisymmetric
-grid of 8194 points, 8192 interior ones and the endpoints y = +-1, and
-evaluates its even and odd parts separately on the positive half of the
-grid.  An odd part of degree up to 127 is one matrix product with a table
-of T_1, T_3, ..., T_127 at those samples; an even part, or an odd one of
-higher degree, is a recurrence in T_2 of half the degree.  An odd series
-is counted on the positive half alone.  The grid and the recurrence's
-abscissae are built once, at import, and the 2 MiB table on the first
-count; all are read-only arrays.
+grid of 8194 points, 8192 interior ones and the endpoints y = +-1, by one
+of two paths.  An odd series of degree up to 127, such as
+``amplitude_as_chebyshev`` returns, is one matrix product with a table of
+T_1, T_3, ..., T_127 at the 4097 positive samples, and is counted on that
+half alone; every other series is numpy's ``chebval`` on the whole grid.
+The grid and the table's abscissae are built once, at import, and the
+2 MiB table on the first count; all are read-only arrays.
 """
 
 from __future__ import annotations
@@ -39,15 +38,17 @@ _HALF_INTEGER_ATOL = 1e-9
 _WEIGHT_SYMMETRY_ATOL = 1e-8
 
 # The 4097 positive samples of the sign-change grid, y = (2k+1)/8193 for
-# k = 0..4095 and y = 1, the abscissa x = T_2(y) of its half-degree
-# recurrences, 2x and V_1(x) = 2x - 1.  The wide gap families have their
-# earliest zero beyond 8191/8193, so only the sample at 1 shows it.
+# k = 0..4095 and y = 1, the abscissa x = T_2(y) of the odd-part table's
+# recurrence, 2x and V_1(x) = 2x - 1, and the whole grid, ascending and
+# exactly antisymmetric.  The wide gap families have their earliest zero
+# beyond 8191/8193, so only the sample at 1 shows it.
 _Y = _readonly(np.append(np.arange(1.0, 8193.0, 2.0) / 8193.0, 1.0))
 _X = _readonly(2.0 * _Y * _Y - 1.0)
 _TWO_X = _readonly(2.0 * _X)
 _V1 = _readonly(2.0 * _X - 1.0)
+_GRID = _readonly(np.concatenate([-_Y[::-1], _Y]))
 
-# Odd parts with at most this many terms, degree up to 127, take the table.
+# Odd series with at most this many terms, degree up to 127, take the table.
 _TABLE_TERMS = 64
 
 
@@ -138,25 +139,6 @@ def amplitude_as_chebyshev(sd: SpectralData) -> np.polynomial.Chebyshev:
     return np.polynomial.Chebyshev(coef)
 
 
-def _clenshaw(coef, two_x: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """sum_i coef[i] P_i(x), with P_0 = 1, P_1 = ``first``, P_i+1 = 2x P_i - P_i-1.
-
-    One Clenshaw recurrence in place on ``two_x`` = 2x, b_i = coef[i] + 2x
-    b_i+1 - b_i+2, ending in coef[0] + first b_1 - b_2.
-    """
-    b1, b2, tmp = np.zeros(two_x.shape), np.zeros(two_x.shape), np.empty(two_x.shape)
-    for a in coef[:0:-1]:
-        np.multiply(two_x, b1, out=tmp)
-        np.subtract(tmp, b2, out=b2)
-        if a:
-            b2 += a
-        b1, b2 = b2, b1
-    np.multiply(first, b1, out=tmp)
-    tmp -= b2
-    tmp += coef[0]
-    return tmp
-
-
 @functools.cache
 def _odd_table() -> np.ndarray:
     """Row i holds T_2i+1(y) = y V_i(x) at the 4097 positive samples, i < 64.
@@ -174,36 +156,6 @@ def _odd_table() -> np.ndarray:
     return table
 
 
-def _odd_values(odd: np.ndarray) -> np.ndarray:
-    """sum_i odd[i] T_2i+1 at the 4097 positive samples, in ascending order.
-
-    At most 64 terms are one product with ``_odd_table()``; more take the
-    Clenshaw recurrence of O = sum odd[i] V_i in x = T_2(y), since
-    T_2i+1(y) = y V_i(x) with V the Chebyshev polynomials of the third kind.
-    """
-    if odd.size <= _TABLE_TERMS:
-        return odd @ _odd_table()[: odd.size]
-    return _Y * _clenshaw(odd, _TWO_X, _V1)
-
-
-def _grid_values(coef: np.ndarray) -> np.ndarray:
-    """sum_j coef[j] T_j at the 8194 samples +-(2k+1)/8193 and +-1, ascending.
-
-    With x = T_2(y) the series splits into c(y) = E(x) + y O(x): the even
-    degrees give E = sum A_2i T_i, a Clenshaw recurrence of half the degree
-    on the 4097 positive samples, and the odd ones give y O(x) there by
-    ``_odd_values``.  c(-y) = E(x) - y O(x) gives the rest.
-    """
-    even, odd = coef[::2], coef[1::2]
-    half = _clenshaw(even, _TWO_X, _X) if even.any() else np.zeros(_Y.shape)
-    values = np.concatenate([half[::-1], half])
-    if odd.any():
-        half = _odd_values(odd)
-        values[: _Y.size] -= half[::-1]
-        values[_Y.size :] += half
-    return values
-
-
 def count_sign_changes(c: np.polynomial.Chebyshev) -> int:
     """Sign changes of the series over 8194 samples of [-1, 1].
 
@@ -211,19 +163,20 @@ def count_sign_changes(c: np.polynomial.Chebyshev) -> int:
     antisymmetric; the grid is built once, at import.  The endpoints, where
     the series is sum_j A_j (+-1)^j, show a zero between the outermost
     interior sample and +-1, such as the earliest ESE zero of a wide gap
-    family, near t = 0.  The series is evaluated by its even and odd parts
-    on the positive half of the grid: an odd part of degree up to 127 as
-    one product with a table of T_1, T_3, ..., T_127 there, built on the
-    first call, and any other part as a recurrence of half the degree.  An
-    odd series, such as ``amplitude_as_chebyshev`` returns, is exactly
-    antisymmetric on the grid and is counted on its positive half.  A series
-    on another domain or window, or in another basis, is converted first,
-    so the same function is sampled.
+    family, near t = 0.  An odd series of degree up to 127, such as
+    ``amplitude_as_chebyshev`` returns, is one product with a table of
+    T_1, T_3, ..., T_127 at the positive samples, built on the first call;
+    it is exactly antisymmetric on the grid and is counted on that half.
+    Every other series is evaluated by numpy's ``chebval`` on the whole
+    grid.  A series on another domain or window, or in another basis, is
+    converted first, so the same function is sampled.
 
     Samples at or below the cancellation floor, the noise clearance times
     the sum of |A_j| in ascending degree, are dropped, since round-off
     decides their sign; the count covers the samples above it.  Zeros of
     even multiplicity, or closer together than the grid step, do not show.
+    A coefficient that is not finite, or a sum of |A_j| that overflows,
+    raises ValueError.
     """
     floor = _NOISE_CLEARANCE * sum(abs(a) for a in c.coef.tolist())
     chebyshev = np.polynomial.Chebyshev
@@ -231,11 +184,17 @@ def count_sign_changes(c: np.polynomial.Chebyshev) -> int:
         coef = c.coef
     else:
         coef = c.convert(kind=chebyshev).coef
-    has_even = coef[::2].any()
-    values = _grid_values(coef) if has_even else _odd_values(coef[1::2])
+    if not (np.isfinite(floor) and np.isfinite(coef).all()):
+        raise ValueError("series coefficients and their sum must be finite")
+    odd = coef[1::2]
+    on_table = odd.size <= _TABLE_TERMS and not coef[::2].any()
+    if on_table:
+        values = odd @ _odd_table()[: odd.size]
+    else:
+        values = np.polynomial.chebyshev.chebval(_GRID, coef)
     negative = np.signbit(values[np.abs(values) > floor])
     changes = int(np.count_nonzero(negative[1:] != negative[:-1]))
-    if has_even or not negative.size:
+    if not on_table or not negative.size:
         return changes
     # an odd series is exactly antisymmetric on the grid, so the samples kept
     # on the negative half mirror these with opposite signs, and the pair

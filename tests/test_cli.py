@@ -525,6 +525,15 @@ class TestExitCodes:
         if run is in_process:  # the script allocates in a process of its own
             assert peak < 1 << 20
 
+    NON_POSITIVE_N = {"0": "0", "-1": "-1", "-5": "-5", "-10**400": str(-(10**400))}
+
+    @pytest.mark.parametrize("run, N", through_both(NON_POSITIVE_N))
+    def test_non_positive_krawtchouk_N_is_named(self, run, N, tmp_path):
+        out = tmp_path / "doc.json"
+        argv = ["construct", "krawtchouk", "--N", self.NON_POSITIVE_N[N], "--out", out]
+        assert run(argv) == (2, "", "error: N must be a positive integer\n")
+        assert not out.exists()
+
     def test_unparseable_spectrum_file(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -564,6 +573,11 @@ FAILED_RUNS = [  # exit code, argv; {name} is a file of the test's
     ],
     (2, ["construct", "from-spectrum", "--in", "{huge_spectrum}"]),
     (2, ["construct", "gap-family", "--n", "2", "--m", str(10**400)]),
+    # N below 1, which the chain's rule rejects before anything is built
+    *[
+        (2, ["construct", "krawtchouk", "--N", N])
+        for N in ("0", "-1", "-5", str(-(10**400)))
+    ],
 ]
 
 

@@ -6,11 +6,13 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebval
 from exact import chebyshev_to_power, lattice_weights, odd_multiplicity_roots
 
 from pstchain import (
@@ -363,8 +365,9 @@ def seeded_series(count=500, seed=18):
 
 class TestCountSignChanges:
     def test_grid_is_exactly_antisymmetric(self):
+        grid = families._GRID
         # the identity series T_1 evaluates to the sample points themselves
-        grid = families._grid_values(np.array([0.0, 1.0]))
+        assert np.array_equal(chebval(grid, [0.0, 1.0]), grid)
         assert grid.size == 8194
         assert np.array_equal(grid, -grid[::-1])
         assert np.all(np.diff(grid) > 0.0) and grid[0] == -1.0
@@ -400,6 +403,26 @@ class TestCountSignChanges:
     def test_zero_and_constant_series(self):
         assert count_sign_changes(np.polynomial.Chebyshev([0.0])) == 0
         assert count_sign_changes(np.polynomial.Chebyshev([-2.0])) == 0
+
+    NON_FINITE = {
+        "nan": np.polynomial.Chebyshev([0.0, math.nan]),
+        "inf": np.polynomial.Chebyshev([math.inf, 1.0]),
+        "minus-inf": np.polynomial.Chebyshev([0.0, -math.inf, 0.0, 1.0]),
+        "odd-on-the-table": np.polynomial.Chebyshev([0.0, 1.0, 0.0, math.nan]),
+        "sum-overflows": np.polynomial.Chebyshev([0.0, 1e308, 1e308]),
+        "power-basis": np.polynomial.Polynomial([0.3, math.nan, 1.0]),
+        # finite, but the map onto the window overflows in conversion
+        "domain-map-overflows": np.polynomial.Chebyshev(
+            [0.0, 1e300], domain=[0.0, 1e-300]
+        ),
+    }
+
+    @pytest.mark.parametrize("name", NON_FINITE)
+    def test_non_finite_series_raise(self, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                count_sign_changes(self.NON_FINITE[name])
 
     def test_single_first_degree(self):
         assert count_sign_changes(np.polynomial.Chebyshev.basis(1)) == 1
@@ -475,7 +498,10 @@ class TestSignChangeGolden:
         # the sign-count abscissae are built once, at import, and shared
         y = np.append(np.arange(1.0, 8193.0, 2.0) / 8193.0, 1.0)
         x = 2.0 * y * y - 1.0
-        built = {"_Y": y, "_X": x, "_TWO_X": 2.0 * x, "_V1": 2.0 * x - 1.0}
+        built = {
+            "_Y": y, "_X": x, "_TWO_X": 2.0 * x, "_V1": 2.0 * x - 1.0,
+            "_GRID": np.concatenate([-y[::-1], y]),
+        }
         for name, expected in built.items():
             constant = getattr(families, name)
             assert not constant.flags.writeable, name
@@ -567,24 +593,16 @@ class TestExactSignCount:
 
 
 def full_grid_count(c: np.polynomial.Chebyshev) -> int:
-    """The count's rule applied to all 8194 samples, signs by ``np.sign``."""
-    values = families._grid_values(c.coef)
+    """The count's rule applied to numpy's ``chebval`` at all 8194 samples,
+    signs by ``np.sign``."""
+    values = chebval(families._GRID, c.coef)
     floor = 1e-12 * sum(abs(a) for a in c.coef.tolist())
     signs = np.sign(values[np.abs(values) > floor])
     return int(np.count_nonzero(signs[1:] != signs[:-1]))
 
 
-def table_and_recurrence_counts(series, monkeypatch):
-    """``count_sign_changes``, then ``full_grid_count`` with no odd-part table."""
-    table = [count_sign_changes(c) for c in series]
-    with monkeypatch.context() as patch:
-        patch.setattr(families, "_TABLE_TERMS", 0)
-        recurrence = [full_grid_count(c) for c in series]
-    return table, recurrence
-
-
-def no_recurrence(*args):
-    raise AssertionError("the recurrence ran")
+def no_chebval(*args):
+    raise AssertionError("chebval ran")
 
 
 def odd_series(degree: int, count: int = 25, seed: int = 25):
@@ -601,18 +619,17 @@ def odd_series(degree: int, count: int = 25, seed: int = 25):
 
 class TestOddTable:
     """Counts through the odd-part table, on half the grid of an odd series,
-    equal those of the half-degree recurrence on the whole grid."""
+    equal those of numpy's ``chebval`` on the whole grid."""
 
-    def assert_same_counts(self, series, monkeypatch):
-        table, recurrence = table_and_recurrence_counts(series, monkeypatch)
+    def assert_same_counts(self, series):
         wrong = [
             (c.degree(), a, b)
-            for c, a, b in zip(series, table, recurrence)
-            if a != b
+            for c in series
+            if (a := count_sign_changes(c)) != (b := full_grid_count(c))
         ]
         assert not wrong, wrong
 
-    def test_every_gap_family_up_to_n20_m30(self, monkeypatch):
+    def test_every_gap_family_up_to_n20_m30(self):
         series = [
             amplitude_as_chebyshev(persymmetric_weights(gap_family_spectrum(n, m)))
             for n in range(2, 21)
@@ -620,12 +637,12 @@ class TestOddTable:
         ]
         assert len(series) == 570
         assert max(c.degree() for c in series) == 99  # all on the table
-        self.assert_same_counts(series, monkeypatch)
+        self.assert_same_counts(series)
 
-    def test_seeded_series(self, monkeypatch):
-        self.assert_same_counts(list(seeded_series()), monkeypatch)
+    def test_seeded_series(self):
+        self.assert_same_counts(list(seeded_series()))
 
-    def test_golden_sets(self, monkeypatch):
+    def test_golden_sets(self):
         golden = json.loads(GOLDEN_SIGN_CHANGES.read_text())
         cases = golden["named"] + [
             case
@@ -639,21 +656,38 @@ class TestOddTable:
             combination(case["low"], case["coefficients"])
             for case in golden["random"]
         ]
-        self.assert_same_counts(series, monkeypatch)
+        self.assert_same_counts(series)
 
     @pytest.mark.parametrize("degree", [125, 127, 129, 131])
     def test_degrees_around_the_table_edge(self, degree, monkeypatch):
         series = list(odd_series(degree))
-        self.assert_same_counts(series, monkeypatch)
-        # degree 127 is the table's last row, 129 the first left to Clenshaw
+        self.assert_same_counts(series)
+        # degree 127 is the table's last row, 129 the first left to chebval
         with monkeypatch.context() as patch:
-            patch.setattr(families, "_clenshaw", no_recurrence)
+            patch.setattr(np.polynomial.chebyshev, "chebval", no_chebval)
             if degree <= 127:
                 for c in series:
                     count_sign_changes(c)
             else:
-                with pytest.raises(AssertionError, match="recurrence"):
+                with pytest.raises(AssertionError, match="chebval"):
                     count_sign_changes(series[0])
+
+    def test_every_amplitude_series_takes_the_table(self, monkeypatch):
+        # amplitude_as_chebyshev's series are the only ones a workload counts:
+        # every named symmetric spectrum and gap family counts without chebval
+        cases = json.loads(GOLDEN_SIGN_CHANGES.read_text())["named"] + [
+            case
+            for case in json.loads(GOLDEN_ESE.read_text())["cases"]
+            if case["family"] != "krawtchouk" or case["N"] % 2
+        ]
+        requests = [named_request(case) for case in cases] + [
+            gap_family_spectrum(n, m) for n in range(2, 21) for m in range(1, 31)
+        ]
+        series = [amplitude_as_chebyshev(persymmetric_weights(r)) for r in requests]
+        with monkeypatch.context() as patch:
+            patch.setattr(np.polynomial.chebyshev, "chebval", no_chebval)
+            counts = [count_sign_changes(c) for c in series]
+        assert len(counts) == len(cases) + 570
 
     def test_table_rows_are_odd_chebyshev_polynomials(self):
         table = families._odd_table()
