@@ -36,6 +36,7 @@ from .jacobi import (
     _boundary_coefficients,
     _frame,
     _grid_sum,
+    _real,
     _spectral_sum,
     amplitude,
 )
@@ -143,12 +144,13 @@ def detect_pst(req: SpectrumRequest, tol: float = _PST_TOL) -> PstCertificate:
 
     Candidate gap quanta are delta = g_min/(2j+1), scanned from j = 0
     upward; for each, every gap is tested against its nearest odd multiple
-    of delta at relative tolerance ``tol``.  The first feasible candidate
-    is the largest delta, hence the earliest T0 = pi/delta.  Odd integers
-    are capped at 10^4: the scan stops at the first candidate that needs a
-    larger one, and if even the first candidate does, the spectrum is
-    undecidable at this tolerance and :class:`PstUndecidableError` is
-    raised, distinct from a negative certificate.
+    of delta at relative tolerance ``tol``, a single real number in
+    (0, 1e-4].  The first feasible candidate is the largest delta, hence
+    the earliest T0 = pi/delta.  Odd integers are capped at 10^4: the scan
+    stops at the first candidate that needs a larger one, and if even the
+    first candidate does, the spectrum is undecidable at this tolerance and
+    :class:`PstUndecidableError` is raised, distinct from a negative
+    certificate.
 
     Candidates are tested in blocks, one row per candidate, each row with
     the floating-point operations of a test on its own.  The first block
@@ -157,6 +159,7 @@ def detect_pst(req: SpectrumRequest, tol: float = _PST_TOL) -> PstCertificate:
     one small block, the longest scan (about 10^4 candidates) about a dozen
     blocks, and memory stays O(``_PST_MAX_BLOCK`` x sites).
     """
+    tol = _real(tol, "tolerance")
     if not 0.0 < tol <= _PST_TOL_CAP:
         raise ValueError(f"tol must lie in (0, {_PST_TOL_CAP:g}]")
     lam = req.eigenvalues

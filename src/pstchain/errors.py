@@ -2,7 +2,11 @@
 
 Every class here reports a computation that could not reach an answer on
 valid input.  Unusable input, such as a malformed spectrum or spectral data
-with no cosine-polynomial form, raises ``ValueError`` instead.
+with no cosine-polynomial form, raises ``ValueError`` instead, by one rule:
+integer parameters must be integers, not bools or floats; times and
+tolerances are single real numbers; arrays are read by
+``jacobi._readonly``.  Complex values and integers beyond float range are
+refused in each.
 """
 
 from __future__ import annotations

@@ -18,7 +18,6 @@ The grid and the table's abscissae are built once, at import, and the
 from __future__ import annotations
 
 import functools
-import sys
 
 import numpy as np
 
@@ -28,6 +27,7 @@ from .jacobi import (
     MAX_SITES,
     JacobiMatrix,
     SpectralData,
+    _integer,
     _readonly,
 )
 
@@ -53,7 +53,8 @@ _TABLE_TERMS = 64
 
 
 def krawtchouk_chain(N: int) -> JacobiMatrix:
-    """Zero-diagonal chain with couplings sqrt((k+1)(N-k))/2 on N+1 sites."""
+    """Zero-diagonal chain with couplings sqrt((k+1)(N-k))/2 on N+1 sites, N an int."""
+    N = _integer(N)
     if N < 1:
         raise ValueError("N must be a positive integer")
     if N + 1 > MAX_SITES:
@@ -67,14 +68,13 @@ def gap_family_spectrum(n: int, m: int) -> SpectrumRequest:
     """Symmetric size-2n spectrum with unit gaps except a middle gap 2m+1.
 
     The positive half is (2m+2k+1)/2 for k = 0..n-1 and the negative half
-    is its mirror image.
+    is its mirror image; n and m are ints, so the middle gap is odd.
     """
+    n, m = _integer(n), _integer(m)
     if n < 2:
         raise ValueError("n must be an integer >= 2")
     if m < 1:
         raise ValueError("m must be a positive integer")
-    if m > sys.float_info.max:
-        raise ValueError("m must lie within float range")
     if 2 * n > MAX_SITES:
         raise ValueError(f"spectrum size must be at most {MAX_SITES}, got {2 * n}")
     upper = (2.0 * m + 2.0 * np.arange(n) + 1.0) / 2.0
@@ -85,15 +85,17 @@ def surgery_spectrum(N: int) -> SpectrumRequest:
     """Unit-gap symmetric spectrum of size N+3 with the innermost pair removed.
 
     Returns {+-(2k+1)/2 : k = 1..(N+1)/2}, i.e. N+1 points: the gap family
-    with n = (N+1)/2 and m = 1.  N must be odd and at least 3.
+    with n = (N+1)/2 and m = 1.  N must be an odd int, at least 3.
     """
+    N = _integer(N)
     if N < 3 or N % 2 == 0:
         raise ValueError("N must be an odd integer >= 3")
     return gap_family_spectrum((N + 1) // 2, 1)
 
 
 def closed_form_krawtchouk_x0(N: int, t):
-    """Boundary-return amplitude cos^N(t/2) of the equidistant chain."""
+    """Boundary-return amplitude cos^N(t/2) of the equidistant chain, N an int."""
+    N = _integer(N)
     if N < 1:
         raise ValueError("N must be a positive integer")
     return np.cos(0.5 * np.asarray(t, dtype=float)) ** N
@@ -102,8 +104,9 @@ def closed_form_krawtchouk_x0(N: int, t):
 def closed_form_surgery_x0(N: int, t):
     """Return amplitude after removing the innermost eigenvalue pair.
 
-    Equals (((N+1)/2 + 1) cos t - (N+1)/2) cos^N(t/2) for odd N >= 3.
+    Equals (((N+1)/2 + 1) cos t - (N+1)/2) cos^N(t/2) for odd ints N >= 3.
     """
+    N = _integer(N)
     if N < 3 or N % 2 == 0:
         raise ValueError("N must be an odd integer >= 3")
     half = (N + 1) // 2
@@ -176,8 +179,10 @@ def count_sign_changes(c: np.polynomial.Chebyshev) -> int:
     decides their sign; the count covers the samples above it.  Zeros of
     even multiplicity, or closer together than the grid step, do not show.
     A coefficient that is not finite, or a sum of |A_j| that overflows,
-    raises ValueError.
+    raises ValueError, as does an object that is not a numpy series.
     """
+    if not isinstance(c, np.polynomial._polybase.ABCPolyBase):
+        raise ValueError(f"expected a numpy.polynomial series, not {type(c).__name__}")
     floor = _NOISE_CLEARANCE * sum(abs(a) for a in c.coef.tolist())
     chebyshev = np.polynomial.Chebyshev
     if isinstance(c, chebyshev) and (c.domain == c.window).all():

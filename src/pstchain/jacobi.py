@@ -132,6 +132,28 @@ def _readonly(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def _real(value, what: str) -> float:
+    """A time or a tolerance (``what``) as a float, by ``_readonly``'s rules:
+    an array, even of one element, raises ValueError; NaN and inf pass."""
+    if isinstance(value, float):  # numpy's float64 too: already one real number
+        return float(value)
+    arr = np.asarray(value)
+    if arr.ndim:
+        raise ValueError(f"expected a single {what}, got shape {arr.shape}")
+    return float(_readonly(arr[None])[0])
+
+
+def _integer(value) -> int:
+    """An integer parameter as an int: bools and floats raise ValueError, as do
+    integers above float range, by ``_readonly``'s rule; one below it is left
+    to the caller's lower bound, which names it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"expected an integer, got {type(value).__name__}")
+    if value > 0:
+        _readonly([value])
+    return int(value)
+
+
 def _frame(spectrum) -> tuple[float, int]:
     """Midpoint c and exponent e with |lambda - c| <= 2^e on a sorted spectrum."""
     lo, hi = float(spectrum[0]), float(spectrum[-1])
@@ -145,8 +167,8 @@ def _spectrum(values) -> np.ndarray:
         raise ValueError(
             f"spectrum size must be between 2 and {MAX_SITES}, got {lam.size}"
         )
-    if not np.isfinite(lam).all():
-        raise ValueError("eigenvalues must be finite")
+    if not math.isfinite(float(lam.max()) - float(lam.min())):
+        raise ValueError("eigenvalues and their span must be finite")
     scale = float(np.abs(lam).max())
     if not ((lam[1:] - lam[:-1]) > GAP_RTOL * scale).all():
         raise ValueError(
@@ -177,8 +199,9 @@ class JacobiMatrix:
             )
         if off.size != diag.size - 1:
             raise ValueError("offdiag must be exactly one entry shorter than diag")
-        if not (np.isfinite(diag).all() and np.isfinite(off).all()):
-            raise ValueError("matrix entries must be finite")
+        diag_span = float(diag.max()) - float(diag.min())
+        if not (math.isfinite(diag_span) and np.isfinite(off).all()):
+            raise ValueError("matrix entries and the diagonal's span must be finite")
         if not (off > 0.0).all():
             raise ValueError("all couplings must be strictly positive")
         object.__setattr__(self, "diag", diag)
@@ -502,15 +525,17 @@ def _eigensystem(J: JacobiMatrix) -> tuple[SpectralData, np.ndarray]:
     off2 = off * off
     pivmin = _TINY  # LAPACK's tiny * max(1, b^2), as b^2 < 1
     mu = _bisect_eigenvalues(diag, off, off2, pivmin)
+    # an eigenvalue or a gap that overflows is inf, refused below or, for a
+    # gap, by SpectralData as a span beyond float range
     with np.errstate(over="ignore"):
         lam = c + np.ldexp(mu, e)
+        gaps = lam[1:] - lam[:-1]
     if not np.isfinite(lam).all():
         bad = int(np.nonzero(~np.isfinite(lam))[0][0])
         raise EigensolverError(
             f"eigenvalue {bad} overflows: matrix entries are too large", index=bad
         )
     scale = float(np.abs(lam).max())
-    gaps = lam[1:] - lam[:-1]
     tight = gaps <= GAP_RTOL * scale
     if tight.any():
         bad = int(tight.argmax()) + 1
@@ -561,9 +586,11 @@ def check_persymmetry(J: JacobiMatrix, tol: float = 1e-12) -> PersymmetryReport:
     The verdict holds both asymmetries to ``tol`` times the largest entry
     modulus of J - c, c the diagonal's midpoint (the frame of the solver),
     so it depends on neither the wire's scale nor a shift of its diagonal.
+    ``tol`` is a single real number, positive and finite.
     """
-    if not tol > 0.0:
-        raise ValueError("tolerance must be positive")
+    tol = _real(tol, "tolerance")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tolerance must be positive and finite")
     diag_asym = float(np.abs(J.diag - J.diag[::-1]).max())
     off_asym = float(np.abs(J.offdiag - J.offdiag[::-1]).max())
     c, _ = _frame((J.diag.min(), J.diag.max()))
@@ -572,7 +599,7 @@ def check_persymmetry(J: JacobiMatrix, tol: float = 1e-12) -> PersymmetryReport:
         is_persymmetric=bool(diag_asym <= bound and off_asym <= bound),
         max_diag_asymmetry=diag_asym,
         max_offdiag_asymmetry=off_asym,
-        tolerance=float(tol),
+        tolerance=tol,
     )
 
 
@@ -595,14 +622,12 @@ def _finite_phases(sd: SpectralData, t_max: float) -> bool:
 
 
 def _times(sd: SpectralData, times) -> np.ndarray:
-    """``times`` as a one-dimensional float array, every phase finite.
+    """``times`` read by ``_readonly``, a scalar as one time, every phase finite.
 
-    A scalar becomes one time; more than one dimension raises ValueError,
-    as does a time whose phases are not finite, which the message names.
+    More than one dimension raises ValueError, as does a time whose phases
+    are not finite, which the message names.
     """
-    t = np.atleast_1d(np.asarray(times, dtype=float))
-    if t.ndim > 1:
-        raise ValueError(f"times must be one-dimensional, got shape {t.shape}")
+    t = _readonly(np.atleast_1d(times))
     if not _finite_phases(sd, float(np.abs(t).max(initial=0.0))):
         bad = next(x for x in t.tolist() if not _finite_phases(sd, abs(x)))
         raise ValueError(f"t = {bad!r} gives non-finite phases")
@@ -670,7 +695,7 @@ def _grid_sum(
 
 
 def amplitude_values(sd: SpectralData, times, site: Site = "first") -> np.ndarray:
-    """Boundary amplitude at every entry of ``times`` (vectorized).
+    """Boundary amplitude at every entry of ``times``, a real scalar or 1-D array.
 
     A time whose phases are not finite (for example inf, nan or 1e308 on
     a unit-scale spectrum) raises ValueError naming it.
@@ -683,15 +708,15 @@ def amplitude(sd: SpectralData, site: Site, t: float) -> complex:
 
     site "first" returns sum_s w_s exp(-i lambda_s t); site "last" returns
     the alternating-sign sum, which equals x_N(t) when the spectral data
-    comes from a persymmetric wire.
+    comes from a persymmetric wire.  ``t`` is a single real time.
     """
-    return complex(amplitude_values(sd, [float(t)], site)[0])
+    return complex(amplitude_values(sd, _real(t, "time"), site)[0])
 
 
 def amplitude_series(
     sd: SpectralData, t0: float, t1: float, steps: int
 ) -> AmplitudeSeries:
-    """Sample both boundary amplitudes on ``np.linspace(t0, t1, steps)``.
+    """Both boundary amplitudes on ``np.linspace(t0, t1, steps)``, steps an int.
 
     x_0 and x_N come from one ``_grid_sum`` call over the S x 2 matrix of
     their coefficients, so a series costs O(sqrt(steps)) exponentials per
@@ -707,11 +732,11 @@ def amplitude_series(
     as one step.  More than ``_MAX_GRID_POINTS`` steps raise
     :class:`GridBudgetError`.
     """
+    t0, t1, steps = _real(t0, "time"), _real(t1, "time"), _integer(steps)
     if not t0 < t1:
         raise ValueError("need t0 < t1")
     if steps < 2:
         raise ValueError("need steps >= 2")
-    t0, t1, steps = float(t0), float(t1), int(steps)
     if not _finite_phases(sd, abs(t0) + abs(t1)):
         raise ValueError(f"t0 = {t0!r}, t1 = {t1!r} give non-finite phases")
     coefficients = np.empty((sd.n_sites, 2))
@@ -732,12 +757,10 @@ def full_evolution_column(J: JacobiMatrix, t: float) -> np.ndarray:
     Component i is the spectral sum with coefficients v_i(s) v_0(s).  The
     eigendecomposition and those coefficients are computed once per
     instance, the decomposition shared with ``eigendecompose``, so each
-    further time costs one spectral sum.  ``t`` is a single time: an array
-    of times raises ValueError, as does a time whose phases are not finite,
-    which the message names.
+    further time costs one spectral sum.  ``t`` is a single real time: an
+    array of times raises ValueError, as does a time whose phases are not
+    finite, which the message names.
     """
-    t = np.asarray(t, dtype=float)
-    if t.ndim:
-        raise ValueError(f"t must be a single time, got shape {t.shape}")
+    t = _real(t, "time")
     sd, _, coefficients = J._spectral
     return _spectral_sum(sd, _times(sd, t), coefficients)[0]

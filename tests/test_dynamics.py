@@ -239,13 +239,6 @@ class TestDetectPst:
         with pytest.raises(PstUndecidableError):
             detect_pst(SpectrumRequest([0.0, 1e-6, 1.0 + 1e-6]))
 
-    def test_rejects_bad_tolerance(self):
-        req, _ = four_site_data()
-        with pytest.raises(ValueError, match="tol"):
-            detect_pst(req, tol=1e-3)
-        with pytest.raises(ValueError, match="tol"):
-            detect_pst(req, tol=0.0)
-
     def test_phase_reuses_the_request_weights_bit_for_bit(self):
         for case in GOLDEN_CASES:
             req = golden_request(case)

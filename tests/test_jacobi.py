@@ -941,10 +941,6 @@ class TestCheckPersymmetry:
         assert not report.is_persymmetric
         assert report.max_offdiag_asymmetry == pytest.approx(1e-4)
 
-    def test_rejects_nonpositive_tolerance(self):
-        with pytest.raises(ValueError):
-            check_persymmetry(four_site_example(), 0.0)
-
 
 class TestAmplitude:
     def test_unit_at_time_zero(self):
