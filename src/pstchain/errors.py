@@ -4,9 +4,9 @@ Every class here reports a computation that could not reach an answer on
 valid input.  Unusable input, such as a malformed spectrum or spectral data
 with no cosine-polynomial form, raises ``ValueError`` instead, by one rule:
 integer parameters must be integers, not bools or floats; times and
-tolerances are single real numbers; arrays are read by
-``jacobi._readonly``.  Complex values and integers beyond float range are
-refused in each.
+tolerances are single real numbers; arrays, the closed forms' times too,
+are read by ``jacobi._readonly``.  Complex values, integers beyond float
+range, strings and None are refused in each.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ class EigensolverError(ChainError):
 
 
 class ReconstructionError(ChainError):
-    """Inverse reconstruction broke down."""
+    """Lanczos broke down: the measure has too few effective support points."""
 
 
 class PstUndecidableError(ChainError):

@@ -98,7 +98,7 @@ def closed_form_krawtchouk_x0(N: int, t):
     N = _integer(N)
     if N < 1:
         raise ValueError("N must be a positive integer")
-    return np.cos(0.5 * np.asarray(t, dtype=float)) ** N
+    return np.cos(0.5 * _readonly(np.ravel(t)).reshape(np.shape(t))) ** N
 
 
 def closed_form_surgery_x0(N: int, t):
@@ -110,7 +110,7 @@ def closed_form_surgery_x0(N: int, t):
     if N < 3 or N % 2 == 0:
         raise ValueError("N must be an odd integer >= 3")
     half = (N + 1) // 2
-    t = np.asarray(t, dtype=float)
+    t = _readonly(np.ravel(t)).reshape(np.shape(t))
     return ((half + 1.0) * np.cos(t) - half) * np.cos(0.5 * t) ** N
 
 

@@ -63,6 +63,7 @@ types that hold arrays compare and hash by identity, as these caches do.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Literal
@@ -116,10 +117,14 @@ def _readonly(values, dtype=float) -> np.ndarray:
     """A read-only one-dimensional copy of ``values`` as ``dtype``.
 
     Complex values for a real ``dtype`` raise ValueError instead of losing
-    their imaginary parts, as do integers beyond float range instead of
-    raising OverflowError.  A list or tuple is converted once, its copy.
+    their imaginary parts, as do integers beyond float range (numbers in an
+    object array) instead of raising OverflowError, and strings or None
+    instead of converting.  A list or tuple is converted once, its copy.
     """
     arr = np.asarray(values)
+    for value in arr.ravel().tolist() if arr.dtype.kind not in "biufc" else ():
+        if not isinstance(value, numbers.Number):
+            raise ValueError(f"expected numbers, got {type(value).__name__}")
     if arr.dtype.kind == "c" and np.dtype(dtype).kind != "c":
         raise ValueError("expected real values, got complex ones")
     try:

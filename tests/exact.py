@@ -5,7 +5,8 @@ questions the float code answers without round-off:
 
 - ``lattice_weights``: the persymmetric weights of a lattice spectrum,
   scaled to integers;
-- ``exact_stieltjes``: the Jacobi matrix those weights define;
+- ``exact_stieltjes``: the Jacobi matrix that integer weights on a
+  half-integer lattice define;
 - ``chebyshev_to_power``: a Chebyshev series in the power basis;
 - ``odd_multiplicity_roots``: the real roots of odd multiplicity of a
   rational polynomial in (-1, 1), that is the sign changes of the function,
@@ -32,17 +33,16 @@ def lattice_weights(lam) -> tuple[list[int], list[int]]:
     return x, [lcm // p for p in prods]
 
 
-def exact_stieltjes(lam):
-    """Exact a_k and b_k^2 (Fractions) of the persymmetric measure on the
-    half-integer lattice points ``lam``.
+def exact_stieltjes(x, w):
+    """Exact a_k and b_k^2 (Fractions) of the measure with integer weights
+    ``w`` on the half-integer lattice points lam = x / 2, ``x`` integers.
 
-    The nodes x = 2 lam are integers and so are the weights
-    (``lattice_weights``), so each monic orthogonal polynomial p_k is kept at
-    the nodes as an integer vector P_k times a rational scale s_k, and the
-    Stieltjes recurrence p_{k+1} = (x - a_k) p_k - b_{k-1}^2 p_{k-1} runs in
-    integer arithmetic.
+    Each monic orthogonal polynomial p_k is kept at the nodes x as an
+    integer vector P_k times a rational scale s_k, and the Stieltjes
+    recurrence p_{k+1} = (x - a_k) p_k - b_{k-1}^2 p_{k-1} runs in integer
+    arithmetic; the coefficients are then mapped from x back to lam.  Pass
+    ``*lattice_weights(lam)`` for the persymmetric measure.
     """
-    x, w = lattice_weights(lam)
     diag, off2 = [], []
     P, P_prev = [1] * len(x), [0] * len(x)
     s, s_prev, b2 = Fraction(1), Fraction(1), Fraction(0)

@@ -85,6 +85,11 @@ INTEGERS = {
     "closed_form_surgery_x0": lambda v: pstchain.closed_form_surgery_x0(v, 1.0),
 }
 REALS = {**TIMES, **TOLERANCES}
+# the closed forms' t, a time or an array of times, read by the same rules
+CLOSED_FORMS = {
+    "closed_form_krawtchouk_x0.t": lambda v: pstchain.closed_form_krawtchouk_x0(3, v),
+    "closed_form_surgery_x0.t": lambda v: pstchain.closed_form_surgery_x0(3, v),
+}
 NOT_INTEGERS = {"2.5": 2.5, "3.0": 3.0, "True": True, "1j": 1j, "array": np.array([3])}
 
 
@@ -117,7 +122,10 @@ REJECTED = {
             "complex",
         ),
         "amplitude_values": (lambda: pstchain.amplitude_values(DATA, [0.0, 1j]), "complex"),
-        **{name: (_with(call, 1j), "complex") for name, call in REALS.items()},
+        **{
+            name: (_with(call, 1j), "complex")
+            for name, call in {**REALS, **CLOSED_FORMS}.items()
+        },
     },
     # it used to raise OverflowError, which no caller expects of bad input
     "beyond-float-range": {
@@ -132,7 +140,10 @@ REJECTED = {
         "amplitude_values": (
             lambda: pstchain.amplitude_values(DATA, [0.0, HUGE]), "float range"
         ),
-        **{name: (_with(call, HUGE), "float range") for name, call in REALS.items()},
+        **{
+            name: (_with(call, HUGE), "float range")
+            for name, call in {**REALS, **CLOSED_FORMS}.items()
+        },
         # odd, so that the surgery rules see it; -HUGE fails each lower bound
         **{name: (_with(call, HUGE + 1), "float range") for name, call in INTEGERS.items()},
     },
@@ -147,6 +158,24 @@ REJECTED = {
         },
         "JacobiMatrix": (
             lambda: pstchain.JacobiMatrix(diag=[[0.0, 0.0]], offdiag=[1.0]), "one-dimensional"
+        ),
+    },
+    # numeric strings used to convert, and None to become NaN
+    "not-a-number": {
+        **{
+            f"{name}-{kind}": (_with(call, value), f"expected numbers, got {kind}")
+            for name, call in {**REALS, **CLOSED_FORMS}.items()
+            for kind, value in (("str", "1.5"), ("NoneType", None))
+        },
+        "SpectrumRequest": (
+            lambda: pstchain.SpectrumRequest(["-1.5", "-0.5", "0.5", "1.5"]), "got str"
+        ),
+        "SpectralData": (
+            lambda: pstchain.SpectralData(eigenvalues=[-1.0, 1.0], weights=[None, 0.5]),
+            "got NoneType",
+        ),
+        "amplitude_values": (
+            lambda: pstchain.amplitude_values(DATA, ["0.0", "1.0"]), "got str"
         ),
     },
     # 2.5 steps used to run 2, and m = 1.5 to give an even middle gap

@@ -317,8 +317,9 @@ class TestAnalyze:
         "weights of the spectrum, not from the weights the document gives",
     )
     def test_non_mirror_weights_deny_pst(self, tmp_path):
-        # the Lanczos wire of these spectral data reaches only
-        # |x_N(pi)| = 0.9548 (scipy.linalg.expm), so it has no PST at pi
+        # the wire of these spectral data, reconstruct_jacobi's, reaches
+        # only |x_N(pi)| = 0.95476 by full_evolution_column, as by
+        # scipy.linalg.expm, so it has no PST at pi
         doc = tmp_path / "s.json"
         doc.write_text(json.dumps(
             {"spectrum": [-2.5, -1.5, 1.5, 2.5], "weights": [0.1, 0.4, 0.3, 0.2]}
@@ -578,6 +579,8 @@ FAILED_RUNS = [  # exit code, argv; {name} is a file of the test's
         (2, ["construct", "krawtchouk", "--N", N])
         for N in ("0", "-1", "-5", str(-(10**400)))
     ],
+    # numbers written as strings, which used to convert silently
+    (2, ["construct", "from-spectrum", "--in", "{string_spectrum}"]),
 ]
 
 
@@ -688,6 +691,7 @@ class TestManifest:
             "huge_spectrum": tmp_path / "huge_spectrum.json",
             "huge_weights": tmp_path / "huge_weights.json",
             "huge_matrix": tmp_path / "huge_matrix.json",
+            "string_spectrum": tmp_path / "string_spectrum.json",
         }
         files["bad"].write_text("{not json")
         files["undecidable"].write_text("[0.0, 1e-06, 1.000001]\n")
@@ -706,6 +710,7 @@ class TestManifest:
         files["huge_matrix"].write_text(
             json.dumps({"matrix": {"diag": [0.0, 0.0], "offdiag": [huge]}})
         )
+        files["string_spectrum"].write_text(json.dumps(["-1.5", "-0.5", "0.5", "1.5"]))
         out = tmp_path / "out"
         argv = [arg.format(**files) for arg in argv]
         code_got, stdout, stderr = run([*argv, "--out", out])

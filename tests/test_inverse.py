@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from exact import exact_stieltjes
+from exact import exact_stieltjes, lattice_weights
 
 from pstchain import (
+    JacobiMatrix,
     ReconstructionError,
     SpectralData,
     SpectrumRequest,
@@ -15,6 +16,7 @@ from pstchain import (
     check_persymmetry,
     closed_form_surgery_x0,
     eigendecompose,
+    full_evolution_column,
     gap_family_spectrum,
     persymmetric_weights,
     reconstruct_jacobi,
@@ -57,13 +59,13 @@ def oracle_weights(lam):
     return raw / raw.sum()
 
 
-def named_spectra():
-    """The 230 named spectra: Krawtchouk N = 1..40, surgery N = 3..39 and
-    gap families n = 2..20, m = 1..9."""
+def named_spectra(gap_ms=range(1, 10)):
+    """The named spectra: Krawtchouk N = 1..40, surgery N = 3..39 and gap
+    families n = 2..20 with m in ``gap_ms``, 230 by default."""
     return (
         [SpectrumRequest(np.arange(N + 1.0) - N / 2.0) for N in range(1, 41)]
         + [surgery_spectrum(N) for N in range(3, 40, 2)]
-        + [gap_family_spectrum(n, m) for n in range(2, 21) for m in range(1, 10)]
+        + [gap_family_spectrum(n, m) for n in range(2, 21) for m in gap_ms]
     )
 
 
@@ -76,6 +78,43 @@ def seeded_spectra(count=100, seed=18):
             yield SpectrumRequest(symmetric_spectrum(rng, npts))
         else:
             yield SpectrumRequest(np.cumsum(rng.uniform(0.1, 10.0, size=npts)))
+
+
+def non_mirror_data(count=200, seed=14):
+    """Seeded spectral data of 3..41 points whose weights are not
+    mirror-symmetric: gaps U(0.1, 10), a shift U(-50, 50), Dirichlet(1)
+    weights."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        npts = int(rng.integers(3, 42))
+        lam = np.cumsum(rng.uniform(0.1, 10.0, size=npts)) + rng.uniform(-50.0, 50.0)
+        yield SpectralData(lam, rng.dirichlet(np.ones(npts)))
+
+
+def dirichlet_lattices(seed=24):
+    """(x, w, data) on the 116 named spectra with gap families m = 1, 5, 9,
+    with seeded Dirichlet(1) weights: nodes x = 2 lam and the float weights
+    scaled exactly to integers w."""
+    rng = np.random.default_rng(seed)
+    for req in named_spectra((1, 5, 9)):
+        sd = SpectralData(req.eigenvalues, rng.dirichlet(np.ones(req.eigenvalues.size)))
+        weights = [Fraction(v) for v in sd.weights.tolist()]
+        scale = max(v.denominator for v in weights)
+        x = lattice_weights(req.eigenvalues)[0]
+        yield x, [int(v * scale) for v in weights], sd
+
+
+def exact_errors(J, lam, x, w):
+    """Largest errors of the wire J against the exact Stieltjes coefficients
+    of weights w on nodes x: the diagonal's in eps of the half-span, the
+    couplings' relative, in eps."""
+    diag_exact, off2_exact = exact_stieltjes(x, w)
+    half_span = Fraction(0.5 * (lam[-1] - lam[0]))
+    diag_err = max(abs(Fraction(v) - a) for v, a in zip(J.diag.tolist(), diag_exact))
+    off_err = max(
+        abs(Fraction(v) ** 2 / b2 - 1) / 2 for v, b2 in zip(J.offdiag.tolist(), off2_exact)
+    )
+    return diag_err / half_span / Fraction(EPS), off_err / Fraction(EPS)
 
 
 def lanczos_reference(sd):
@@ -214,16 +253,23 @@ class TestReconstructJacobi:
         np.testing.assert_allclose(J.diag, [0.0, 0.0], atol=1e-15)
         np.testing.assert_allclose(J.offdiag, [0.5], atol=1e-15)
 
-    def test_round_trip_random_symmetric(self):
+    def test_round_trip_through_eigendecompose(self):
+        # any valid spectral data, mirror-symmetric or not, come back from
+        # their wire (measured: 3.4 eps of the half-span and 2.2e-13 on the
+        # non-mirror draws, 1.3 eps and 6.8e-14 on the mirror ones)
         rng = np.random.default_rng(41)
-        for _ in range(40):
-            lam = symmetric_spectrum(rng, int(rng.integers(2, 31)))
-            sd = persymmetric_weights(SpectrumRequest(lam))
-            J = reconstruct_jacobi(sd)
-            back = eigendecompose(J)
-            scale = np.abs(lam).max()
-            assert np.abs(back.eigenvalues - lam).max() < 1e-8 * scale
-            assert np.abs(back.weights - sd.weights).max() < 1e-7
+        mirror = [
+            persymmetric_weights(
+                SpectrumRequest(symmetric_spectrum(rng, int(rng.integers(2, 31))))
+            )
+            for _ in range(40)
+        ]
+        mirror.append(persymmetric_weights(gap_family_spectrum(4, 2)))
+        for sd in [*non_mirror_data(), *mirror]:
+            back = eigendecompose(reconstruct_jacobi(sd))
+            half_span = 0.5 * (sd.eigenvalues[-1] - sd.eigenvalues[0])
+            assert np.abs(back.eigenvalues - sd.eigenvalues).max() <= 8 * EPS * half_span
+            assert np.abs(back.weights / sd.weights - 1.0).max() <= 1e-12
 
     def test_reconstruction_is_persymmetric(self):
         rng = np.random.default_rng(43)
@@ -259,13 +305,6 @@ class TestReconstructJacobi:
             )
             assert np.abs(J.offdiag / c / base.offdiag - 1.0).max() <= 1e-13, k
 
-    def test_reproduces_input_spectral_data(self):
-        sd = persymmetric_weights(gap_family_spectrum(4, 2))
-        back = eigendecompose(reconstruct_jacobi(sd))
-        scale = np.abs(sd.eigenvalues).max()
-        assert np.abs(back.eigenvalues - sd.eigenvalues).max() < 1e-9 * scale
-        assert np.abs(back.weights - sd.weights).max() < 1e-8
-
     def test_matches_exact_stieltjes_on_named_spectra(self):
         # both this loop and the earlier one meet one bound against exact
         # rational a_k and b_k^2 (measured: 12.5 and 12.6 eps for the
@@ -273,26 +312,27 @@ class TestReconstructJacobi:
         requests = named_spectra()
         assert len(requests) == 230
         for req in requests:
-            diag_exact, off2_exact = exact_stieltjes(req.eigenvalues)
-            half_span = Fraction(0.5 * (req.eigenvalues[-1] - req.eigenvalues[0]))
+            lam = req.eigenvalues
+            x, w = lattice_weights(lam)
             sd = persymmetric_weights(req)
-            J = reconstruct_jacobi(sd)
-            for name, (diag, off) in {
-                "new": (J.diag, J.offdiag), "baseline": lanczos_reference(sd)
-            }.items():
-                diag_err = max(
-                    abs(Fraction(v) - a) for v, a in zip(diag.tolist(), diag_exact)
-                )
-                off_err = max(
-                    abs(Fraction(v) ** 2 / b2 - 1) / 2
-                    for v, b2 in zip(off.tolist(), off2_exact)
-                )
-                assert diag_err <= 16 * EPS * half_span, (name, req.eigenvalues)
-                assert off_err <= 8 * EPS, (name, req.eigenvalues)
+            diag, off = lanczos_reference(sd)
+            for J in (reconstruct_jacobi(sd), JacobiMatrix(diag=diag, offdiag=off)):
+                diag_err, off_err = exact_errors(J, lam, x, w)
+                assert diag_err <= 16 and off_err <= 8, lam
+
+    def test_matches_exact_stieltjes_on_non_mirror_lattices(self):
+        # the wire of weights that are not mirror-symmetric, within the
+        # named spectra's diagonal bound on both (measured on all 116
+        # lattices: 7.7 eps of the half-span on the diagonal and 5.9 eps on
+        # the couplings, 9.2 eps on the couplings on OpenBLAS's SSE3
+        # kernel); every fourth lattice keeps this under 1 s
+        for x, w, sd in list(dirichlet_lattices())[::4]:
+            diag_err, off_err = exact_errors(reconstruct_jacobi(sd), sd.eigenvalues, x, w)
+            assert diag_err <= 16 and off_err <= 16, x
 
     def test_exact_stieltjes_oracle_on_krawtchouk(self):
         for N in range(1, 41):
-            diag, off2 = exact_stieltjes(np.arange(N + 1.0) - N / 2.0)
+            diag, off2 = exact_stieltjes(*lattice_weights(np.arange(N + 1.0) - N / 2.0))
             assert diag == [0] * (N + 1)
             assert off2 == [Fraction((k + 1) * (N - k), 4) for k in range(N)]
 
@@ -320,14 +360,33 @@ class TestReconstructJacobi:
         ):
             reconstruct_jacobi(sd)
 
-    def test_rejects_visibly_asymmetric_weights(self):
-        # mirror-asymmetric weights realize a non-persymmetric wire, which
-        # this inverse problem does not cover
-        sd = SpectralData(
-            eigenvalues=[-1.5, -0.5, 0.5, 1.5], weights=[0.7, 0.1, 0.1, 0.1]
-        )
-        with pytest.raises(ReconstructionError, match="asymmetric"):
-            reconstruct_jacobi(sd)
+
+class TestFarEndAmplitude:
+    """``amplitude_values``' x_N against the last entry of the evolved column
+    of the wire that the spectral data define."""
+
+    TIMES = np.linspace(0.0, 2 * math.pi, 9)
+
+    def largest_gap(self, sd):
+        J = reconstruct_jacobi(sd)
+        column_end = [full_evolution_column(J, t)[-1] for t in self.TIMES]
+        return np.abs(amplitude_values(sd, self.TIMES, "last") - column_end).max()
+
+    def test_mirror_data(self):
+        # measured: 7.2e-15
+        for n in range(2, 21):
+            for m in (1, 5, 9):
+                sd = persymmetric_weights(gap_family_spectrum(n, m))
+                assert self.largest_gap(sd) <= 1e-13, (n, m)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: x_N is the alternating-sign formula, which "
+        "holds for mirror-symmetric weights only (measured gaps 0.29 to 0.81)",
+    )
+    def test_non_mirror_data(self):
+        for sd in non_mirror_data(count=10):
+            assert self.largest_gap(sd) <= 1e-13
 
 
 class TestSurgerySpectrum:

@@ -185,25 +185,6 @@ def assert_matches_five_sweep_solver(J, monkeypatch):
     assert np.array_equal(vectors, ref_vectors)
 
 
-def lanczos_wire(lam, weights):
-    """The Jacobi matrix with spectrum ``lam`` and first-component weights
-    ``weights``, by Lanczos on diag(lam) with full reorthogonalization."""
-    n = lam.size
-    diag, off = np.zeros(n), np.zeros(n - 1)
-    basis = np.zeros((n, n))
-    q = np.sqrt(weights / weights.sum())
-    for k in range(n):
-        basis[:, k] = q
-        u = lam * q
-        diag[k] = q @ u
-        for _ in range(2):
-            u -= basis[:, :k + 1] @ (basis[:, :k + 1].T @ u)
-        if k < n - 1:
-            off[k] = np.linalg.norm(u)
-            q = u / off[k]
-    return JacobiMatrix(diag=diag, offdiag=off)
-
-
 # sizes of the seeded odd-gap wires: both parities from 4 to 41 sites
 ODD_GAP_SIZES = (4, 5, 8, 11, 16, 21, 28, 33, 40, 41)
 
@@ -218,7 +199,7 @@ def odd_gap_wires():
         gaps = rng.choice([1, 3], size=sites - 1, p=[0.75, 0.25])
         lam = np.concatenate([[0.0], np.cumsum(gaps)])
         lam -= 0.5 * (lam[(sites - 1) // 2] + lam[sites // 2])
-        yield lanczos_wire(lam, rng.dirichlet(np.full(sites, 4.0)))
+        yield reconstruct_jacobi(SpectralData(lam, rng.dirichlet(np.full(sites, 4.0))))
 
 
 def five_sweep_wires(kind):
