@@ -253,23 +253,27 @@ class TestReconstructJacobi:
         np.testing.assert_allclose(J.diag, [0.0, 0.0], atol=1e-15)
         np.testing.assert_allclose(J.offdiag, [0.5], atol=1e-15)
 
+    def assert_round_trip(self, sd):
+        back = eigendecompose(reconstruct_jacobi(sd))
+        half_span = 0.5 * (sd.eigenvalues[-1] - sd.eigenvalues[0])
+        assert np.abs(back.eigenvalues - sd.eigenvalues).max() <= 8 * EPS * half_span
+        assert np.abs(back.weights / sd.weights - 1.0).max() <= 1e-12
+
     def test_round_trip_through_eigendecompose(self):
-        # any valid spectral data, mirror-symmetric or not, come back from
-        # their wire (measured: 3.4 eps of the half-span and 2.2e-13 on the
-        # non-mirror draws, 1.3 eps and 6.8e-14 on the mirror ones)
+        # spectral data that are not mirror-symmetric come back from their
+        # wire (measured: 3.4 eps of the half-span and 2.2e-13)
+        for sd in non_mirror_data():
+            self.assert_round_trip(sd)
+
+    def test_round_trip_random_symmetric(self):
+        # measured: 1.3 eps of the half-span and 6.8e-14
         rng = np.random.default_rng(41)
-        mirror = [
-            persymmetric_weights(
-                SpectrumRequest(symmetric_spectrum(rng, int(rng.integers(2, 31))))
-            )
-            for _ in range(40)
-        ]
-        mirror.append(persymmetric_weights(gap_family_spectrum(4, 2)))
-        for sd in [*non_mirror_data(), *mirror]:
-            back = eigendecompose(reconstruct_jacobi(sd))
-            half_span = 0.5 * (sd.eigenvalues[-1] - sd.eigenvalues[0])
-            assert np.abs(back.eigenvalues - sd.eigenvalues).max() <= 8 * EPS * half_span
-            assert np.abs(back.weights / sd.weights - 1.0).max() <= 1e-12
+        for _ in range(40):
+            lam = symmetric_spectrum(rng, int(rng.integers(2, 31)))
+            self.assert_round_trip(persymmetric_weights(SpectrumRequest(lam)))
+
+    def test_reproduces_input_spectral_data(self):
+        self.assert_round_trip(persymmetric_weights(gap_family_spectrum(4, 2)))
 
     def test_reconstruction_is_persymmetric(self):
         rng = np.random.default_rng(43)
