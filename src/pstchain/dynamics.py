@@ -159,7 +159,7 @@ def detect_pst(req: SpectrumRequest, tol: float = _PST_TOL) -> PstCertificate:
     one small block, the longest scan (about 10^4 candidates) about a dozen
     blocks, and memory stays O(``_PST_MAX_BLOCK`` x sites).
     """
-    tol = _real(tol, "tolerance")
+    tol = _real(tol, "tol")
     if not 0.0 < tol <= _PST_TOL_CAP:
         raise ValueError(f"tol must lie in (0, {_PST_TOL_CAP:g}]")
     lam = req.eigenvalues

@@ -6,9 +6,10 @@ significant digits: the standard module's shortest round-trip floats are
 not the fixed decimal contract that byte-stable, human-diffable artifacts
 need.  CSV cells use the same format.  Float arrays, CSV tables and SVG
 curves are formatted a whole array at a time, in one ``%`` call on a
-repeated template, with the same text that ``fmt`` gives each number.  The
-two SVG curves share their abscissae, which are printed once into a points
-template; each curve then fills in only its own ordinates.
+repeated template, with the same text that ``fmt`` gives each number (an
+all-zero array or CSV column is written as ``0`` unformatted, the same
+bytes).  The two SVG curves share their abscissae, which are printed once
+into a points template; each curve then fills in only its own ordinates.
 """
 
 from __future__ import annotations
@@ -54,8 +55,12 @@ def _emit(value, indent: int) -> str:
         return f"{{\n{items}\n{pad}}}" if items else "{}"
     if isinstance(value, (list, tuple, np.ndarray)):
         if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind == "f":
-            numbers = tuple(_finite(value).tolist())
-            items = ",\n".join([inner + _NUMBER] * len(numbers)) % numbers
+            value = _finite(value)
+            if value.any():
+                numbers = tuple(value.tolist())
+                items = ",\n".join([inner + _NUMBER] * len(numbers)) % numbers
+            else:  # "%.12g" % 0.0 is "0"
+                items = ",\n".join([inner + "0"] * value.size)
         else:
             items = ",\n".join(inner + _emit(item, indent + 1) for item in value)
         return f"[\n{items}\n{pad}]" if items else "[]"
@@ -74,8 +79,10 @@ def csv_text(header: list[str], columns: list[np.ndarray]) -> str:
     table = np.array(columns).T  # rows of cells; unequal columns raise ValueError
     if table.dtype.kind == "c":  # a float cast would drop the imaginary part
         raise TypeError(f"cannot serialize {table.dtype}")
-    numbers = tuple(_finite(table.astype(float)).ravel().tolist())
-    row = ",".join([_NUMBER] * len(columns)) + "\n"
+    table = _finite(table.astype(float)).reshape(len(table), len(columns))
+    nonzero = table.any(axis=0)  # an all-zero column reads "0" in every row
+    numbers = tuple(table[:, nonzero].ravel().tolist())
+    row = ",".join([_NUMBER if keep else "0" for keep in nonzero]) + "\n"
     return ",".join(header) + "\n" + (row * len(table)) % numbers
 
 

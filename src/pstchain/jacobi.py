@@ -122,10 +122,13 @@ def _readonly(values, dtype=float) -> np.ndarray:
     instead of converting.  A list or tuple is converted once, its copy.
     """
     arr = np.asarray(values)
+    real = np.dtype(dtype).kind != "c"
     for value in arr.ravel().tolist() if arr.dtype.kind not in "biufc" else ():
         if not isinstance(value, numbers.Number):
             raise ValueError(f"expected numbers, got {type(value).__name__}")
-    if arr.dtype.kind == "c" and np.dtype(dtype).kind != "c":
+        if real and isinstance(value, (complex, np.complexfloating)):
+            raise ValueError("expected real values, got complex ones")
+    if arr.dtype.kind == "c" and real:
         raise ValueError("expected real values, got complex ones")
     try:
         arr = arr.astype(dtype, copy=not isinstance(values, (list, tuple)))
@@ -137,14 +140,14 @@ def _readonly(values, dtype=float) -> np.ndarray:
     return arr
 
 
-def _real(value, what: str) -> float:
-    """A time or a tolerance (``what``) as a float, by ``_readonly``'s rules:
-    an array, even of one element, raises ValueError; NaN and inf pass."""
+def _real(value, name: str) -> float:
+    """The time or tolerance argument ``name`` as a float, by ``_readonly``'s
+    rules: an array, even of one element, raises ValueError; NaN and inf pass."""
     if isinstance(value, float):  # numpy's float64 too: already one real number
         return float(value)
     arr = np.asarray(value)
     if arr.ndim:
-        raise ValueError(f"expected a single {what}, got shape {arr.shape}")
+        raise ValueError(f"{name} must be a single real number, got shape {arr.shape}")
     return float(_readonly(arr[None])[0])
 
 
@@ -593,7 +596,7 @@ def check_persymmetry(J: JacobiMatrix, tol: float = 1e-12) -> PersymmetryReport:
     so it depends on neither the wire's scale nor a shift of its diagonal.
     ``tol`` is a single real number, positive and finite.
     """
-    tol = _real(tol, "tolerance")
+    tol = _real(tol, "tol")
     if not 0.0 < tol < math.inf:
         raise ValueError("tolerance must be positive and finite")
     diag_asym = float(np.abs(J.diag - J.diag[::-1]).max())
@@ -715,7 +718,7 @@ def amplitude(sd: SpectralData, site: Site, t: float) -> complex:
     the alternating-sign sum, which equals x_N(t) when the spectral data
     comes from a persymmetric wire.  ``t`` is a single real time.
     """
-    return complex(amplitude_values(sd, _real(t, "time"), site)[0])
+    return complex(amplitude_values(sd, _real(t, "t"), site)[0])
 
 
 def amplitude_series(
@@ -737,7 +740,7 @@ def amplitude_series(
     as one step.  More than ``_MAX_GRID_POINTS`` steps raise
     :class:`GridBudgetError`.
     """
-    t0, t1, steps = _real(t0, "time"), _real(t1, "time"), _integer(steps)
+    t0, t1, steps = _real(t0, "t0"), _real(t1, "t1"), _integer(steps)
     if not t0 < t1:
         raise ValueError("need t0 < t1")
     if steps < 2:
@@ -766,6 +769,6 @@ def full_evolution_column(J: JacobiMatrix, t: float) -> np.ndarray:
     array of times raises ValueError, as does a time whose phases are not
     finite, which the message names.
     """
-    t = _real(t, "time")
+    t = _real(t, "t")
     sd, _, coefficients = J._spectral
     return _spectral_sum(sd, _times(sd, t), coefficients)[0]

@@ -85,6 +85,15 @@ INTEGERS = {
     "closed_form_surgery_x0": lambda v: pstchain.closed_form_surgery_x0(v, 1.0),
 }
 REALS = {**TIMES, **TOLERANCES}
+# the argument that each scalar's error message names
+ARGUMENT = {
+    "amplitude": "t",
+    "amplitude_series.t0": "t0",
+    "amplitude_series.t1": "t1",
+    "full_evolution_column": "t",
+    "check_persymmetry": "tol",
+    "detect_pst": "tol",
+}
 # the closed forms' t, a time or an array of times, read by the same rules
 CLOSED_FORMS = {
     "closed_form_krawtchouk_x0.t": lambda v: pstchain.closed_form_krawtchouk_x0(3, v),
@@ -122,6 +131,16 @@ REJECTED = {
             "complex",
         ),
         "amplitude_values": (lambda: pstchain.amplitude_values(DATA, [0.0, 1j]), "complex"),
+        # beside an integer beyond float range (an object array), in either
+        # order: it used to raise TypeError, or "float range" when it came last
+        **{
+            f"{name}-{order}": (_with(call, values), "expected real values, got complex")
+            for name, call in (
+                ("SpectrumRequest", pstchain.SpectrumRequest),
+                ("amplitude_values", lambda v: pstchain.amplitude_values(DATA, v)),
+            )
+            for order, values in (("first", [1j, HUGE]), ("last", [HUGE, 1j]))
+        },
         **{
             name: (_with(call, 1j), "complex")
             for name, call in {**REALS, **CLOSED_FORMS}.items()
@@ -149,12 +168,12 @@ REJECTED = {
     },
     "array": {
         **{
-            name: (_with(call, np.array([1.0])), "single time")
-            for name, call in TIMES.items()
-        },
-        **{
-            name: (_with(call, [1e-9]), "single tolerance")
-            for name, call in TOLERANCES.items()
+            name: (
+                _with(call, value),
+                rf"^{ARGUMENT[name]} must be a single real number, got shape \(1,\)$",
+            )
+            for calls, value in ((TIMES, np.array([1.0])), (TOLERANCES, [1e-9]))
+            for name, call in calls.items()
         },
         "JacobiMatrix": (
             lambda: pstchain.JacobiMatrix(diag=[[0.0, 0.0]], offdiag=[1.0]), "one-dimensional"

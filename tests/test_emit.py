@@ -178,6 +178,79 @@ def test_non_finite_anywhere_in_an_array_raises(bad, where):
             amplitude_svg(times, values, np.zeros(7), [], None)
 
 
+def zero_column(rng: np.random.Generator, kind: str, rows: int) -> np.ndarray:
+    """A column of ``rows`` cells that is all zero, or all zero but one cell."""
+    if kind == "zero":
+        return np.zeros(rows)
+    if kind == "minus-zero":
+        return np.full(rows, -0.0)
+    if kind == "signed-zeros":
+        return rng.choice([0.0, -0.0], size=rows)
+    column = rng.choice([0.0, -0.0], size=rows)  # "one-cell": zero but for one
+    column[rng.integers(rows)] = rng.uniform(-1.0, 1.0) * 10.0 ** rng.integers(-320, 308)
+    return column
+
+
+ZERO_KINDS = ["zero", "minus-zero", "signed-zeros", "one-cell"]
+
+
+def reference_csv(header, columns) -> str:
+    """CSV formatted one cell at a time."""
+    rows = "".join(",".join(fmt(x) for x in row) + "\n" for row in zip(*columns))
+    return ",".join(header) + "\n" + rows
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_zero_columns_read_as_fmt_of_each_cell(seed):
+    # all-zero columns are written without formatting; each cell must still
+    # read as its fmt, beside columns of any other values
+    rng = np.random.default_rng(seed)
+    values = awkward_floats(20_000, seed=seed)
+    for rows in (1, 2, 7, 2001):
+        kinds = rng.choice(ZERO_KINDS + ["values"], size=int(rng.integers(1, 9)))
+        columns = [
+            rng.choice(values, size=rows) if kind == "values" else zero_column(rng, kind, rows)
+            for kind in kinds
+        ]
+        header = [f"c{j}" for j in range(len(columns))]
+        assert csv_text(header, columns) == reference_csv(header, columns)
+
+
+@pytest.mark.parametrize("kind", ZERO_KINDS)
+@pytest.mark.parametrize("rows", [1, 3, 2001])
+def test_all_zero_tables(kind, rows):
+    rng = np.random.default_rng(rows)
+    for width in (1, 2, 7):
+        columns = [zero_column(rng, kind, rows) for _ in range(width)]
+        header = [f"c{j}" for j in range(width)]
+        assert csv_text(header, columns) == reference_csv(header, columns)
+
+
+@pytest.mark.parametrize("kind", ZERO_KINDS)
+@pytest.mark.parametrize("size", [1, 2, 2001])
+def test_zero_arrays_read_as_fmt_of_each_item(kind, size):
+    zeros, minus = zero_column(np.random.default_rng(size), kind, size), np.full(size, -0.0)
+    assert dumps(zeros) == "[\n" + ",\n".join("  " + fmt(x) for x in zeros) + "\n]\n"
+    # nested in dicts and lists; a list of floats is written through fmt item by item
+    nested = {"a": [zeros, {"b": minus, "c": [minus, 1.5]}], "d": zeros}
+    assert dumps(nested) == dumps(
+        {"a": [zeros.tolist(), {"b": minus.tolist(), "c": [minus.tolist(), 1.5]}],
+         "d": zeros.tolist()}
+    )
+
+
+@pytest.mark.parametrize("where", [0, 3, -1])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_non_finite_in_a_zero_array_raises(bad, where, zero):
+    values = np.full(7, zero)
+    values[where] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        dumps({"x": [values]})
+    with pytest.raises(ValueError, match="non-finite"):
+        csv_text(["t", "x", "z"], [np.zeros(7), values, np.zeros(7)])
+
+
 RANGES = [(0.0, math.pi), (0.0, 1e-9), (-3.5, 2.0), (1e6, 1e6 + 7.25), (0.0, 1e300)]
 
 
@@ -231,6 +304,8 @@ class TestCsv:
 
     def test_no_rows(self):
         assert csv_text(["t", "v"], [np.array([]), np.array([])]) == "t,v\n"
+        assert csv_text(["t"] * 7, [np.array([])] * 7) == ",".join(["t"] * 7) + "\n"
+        assert csv_text([], []) == "\n"
 
     def test_header_mismatch_raises(self):
         with pytest.raises(ValueError, match="header"):

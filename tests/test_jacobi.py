@@ -1180,7 +1180,7 @@ class TestFullEvolutionColumn:
     @pytest.mark.parametrize("t", [[1.0, 2.0], [1.0], np.array([[0.5]])])
     def test_rejects_array_of_times(self, t):
         # one time per call; [1.0, 2.0] used to give the column at 1.0 only
-        with pytest.raises(ValueError, match="single time"):
+        with pytest.raises(ValueError, match="^t must be a single real number"):
             full_evolution_column(krawtchouk_chain(1), t)
 
     def test_time_zero_is_first_basis_vector(self):
