@@ -7,8 +7,8 @@ success ``main`` prints a JSON manifest whose ``inputs`` echo the
 subcommand's options in parser order (``--in`` as ``in``, ``--out`` left
 out, since it is listed under ``outputs``).
 
-Exit codes: 0 success, 2 bad arguments or unreadable input, 3 numerical
-failure.
+Exit codes: 0 success, 2 bad arguments or unreadable input (the readers'
+ValueError or OSError), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -63,6 +63,10 @@ def _spectral_data_from_document(doc) -> SpectralData:
             return SpectralData(eigenvalues=doc["spectrum"], weights=doc["weights"])
         if "matrix" in doc:
             matrix = doc["matrix"]
+            _require(
+                isinstance(matrix, dict) and "diag" in matrix and "offdiag" in matrix,
+                "matrix must be an object with diag and offdiag arrays",
+            )
             return eigendecompose(
                 JacobiMatrix(diag=matrix["diag"], offdiag=matrix["offdiag"])
             )
@@ -254,7 +258,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         _write(args.out, args.func(args))
-    except (ValueError, OSError, KeyError, TypeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ChainError as exc:

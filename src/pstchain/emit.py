@@ -118,8 +118,14 @@ def amplitude_svg(
     ese_times,
     transfer_time: float | None,
 ) -> str:
-    """Standalone SVG: |x0| solid, |xN| dashed, markers at zeros and T0."""
+    """Standalone SVG: |x0| solid, |xN| dashed, markers at zeros and T0.
+
+    The time axis runs from ``times[0]`` to ``times[-1]``, which must
+    increase; otherwise ValueError.
+    """
     t0, t1 = float(times[0]), float(times[-1])
+    if not t0 < t1:
+        raise ValueError(f"times must increase from first to last, got {t0!r} to {t1!r}")
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '

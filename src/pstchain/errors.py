@@ -6,7 +6,7 @@ with no cosine-polynomial form, raises ``ValueError`` instead, by one rule:
 integer parameters must be integers, not bools or floats; times and
 tolerances are single real numbers; arrays, the closed forms' times too,
 are read by ``jacobi._readonly``.  Complex values, integers beyond float
-range, strings and None are refused in each.
+range, strings, None and bools are refused in each.
 """
 
 from __future__ import annotations

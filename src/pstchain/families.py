@@ -93,12 +93,24 @@ def surgery_spectrum(N: int) -> SpectrumRequest:
     return gap_family_spectrum((N + 1) // 2, 1)
 
 
+def _shaped_times(t) -> np.ndarray:
+    """The closed forms' ``t``, of any shape, read by ``_readonly``'s rules.
+
+    A list or tuple reaches ``_readonly`` as the list of its elements at any
+    depth, so that a bool among them is refused, not read as 0 or 1.
+    """
+    if isinstance(t, (list, tuple)):
+        arr = np.asarray(t, dtype=object)
+        return _readonly(arr.ravel().tolist()).reshape(arr.shape)
+    return _readonly(np.ravel(t)).reshape(np.shape(t))
+
+
 def closed_form_krawtchouk_x0(N: int, t):
     """Boundary-return amplitude cos^N(t/2) of the equidistant chain, N an int."""
     N = _integer(N)
     if N < 1:
         raise ValueError("N must be a positive integer")
-    return np.cos(0.5 * _readonly(np.ravel(t)).reshape(np.shape(t))) ** N
+    return np.cos(0.5 * _shaped_times(t)) ** N
 
 
 def closed_form_surgery_x0(N: int, t):
@@ -110,7 +122,7 @@ def closed_form_surgery_x0(N: int, t):
     if N < 3 or N % 2 == 0:
         raise ValueError("N must be an odd integer >= 3")
     half = (N + 1) // 2
-    t = _readonly(np.ravel(t)).reshape(np.shape(t))
+    t = _shaped_times(t)
     return ((half + 1.0) * np.cos(t) - half) * np.cos(0.5 * t) ** N
 
 

@@ -113,18 +113,24 @@ _NOISE_CLEARANCE = 1e-12
 _MAX_GRID_POINTS = 1 << 20
 
 
+_BOOLS = frozenset((bool, np.bool_))
+
+
 def _readonly(values, dtype=float) -> np.ndarray:
     """A read-only one-dimensional copy of ``values`` as ``dtype``.
 
     Complex values for a real ``dtype`` raise ValueError instead of losing
     their imaginary parts, as do integers beyond float range (numbers in an
-    object array) instead of raising OverflowError, and strings or None
-    instead of converting.  A list or tuple is converted once, its copy.
+    object array) instead of raising OverflowError, and strings, None or
+    bools instead of converting.  A list or tuple is converted once, its copy.
     """
+    # numpy reads a bool beside numbers as 0 or 1, so look for one first
+    if isinstance(values, (list, tuple)) and not _BOOLS.isdisjoint(map(type, values)):
+        raise ValueError("expected numbers, got bool")
     arr = np.asarray(values)
     real = np.dtype(dtype).kind != "c"
-    for value in arr.ravel().tolist() if arr.dtype.kind not in "biufc" else ():
-        if not isinstance(value, numbers.Number):
+    for value in arr.ravel().tolist() if arr.dtype.kind not in "iufc" else ():
+        if isinstance(value, bool) or not isinstance(value, numbers.Number):
             raise ValueError(f"expected numbers, got {type(value).__name__}")
         if real and isinstance(value, (complex, np.complexfloating)):
             raise ValueError("expected real values, got complex ones")
@@ -635,7 +641,7 @@ def _times(sd: SpectralData, times) -> np.ndarray:
     More than one dimension raises ValueError, as does a time whose phases
     are not finite, which the message names.
     """
-    t = _readonly(np.atleast_1d(times))
+    t = _readonly(times if isinstance(times, (list, tuple)) else np.atleast_1d(times))
     if not _finite_phases(sd, float(np.abs(t).max(initial=0.0))):
         bad = next(x for x in t.tolist() if not _finite_phases(sd, abs(x)))
         raise ValueError(f"t = {bad!r} gives non-finite phases")

@@ -100,6 +100,27 @@ CLOSED_FORMS = {
     "closed_form_surgery_x0.t": lambda v: pstchain.closed_form_surgery_x0(3, v),
 }
 NOT_INTEGERS = {"2.5": 2.5, "3.0": 3.0, "True": True, "1j": 1j, "array": np.array([3])}
+# Each public array argument, as a call of the value under test.
+ARRAYS = {
+    "SpectrumRequest": pstchain.SpectrumRequest,
+    "JacobiMatrix.diag": lambda v: pstchain.JacobiMatrix(diag=v, offdiag=[1.0]),
+    "JacobiMatrix.offdiag": lambda v: pstchain.JacobiMatrix(diag=[0.0, 0.0], offdiag=v),
+    "SpectralData.eigenvalues": lambda v: pstchain.SpectralData(eigenvalues=v, weights=[0.5, 0.5]),
+    "SpectralData.weights": lambda v: pstchain.SpectralData(eigenvalues=[-1.0, 1.0], weights=v),
+    "AmplitudeSeries.times": lambda v: pstchain.AmplitudeSeries(
+        times=v, x0=[1.0, 0.5], xN=[0.0, 0.5]
+    ),
+    "AmplitudeSeries.x0": lambda v: pstchain.AmplitudeSeries(times=[0.0, 1.0], x0=v, xN=[0.0, 0.5]),
+    "AmplitudeSeries.xN": lambda v: pstchain.AmplitudeSeries(times=[0.0, 1.0], x0=[1.0, 0.5], xN=v),
+    "amplitude_values": lambda v: pstchain.amplitude_values(DATA, v),
+}
+# a bool in every form an array can hold one
+BOOL_ARRAYS = {
+    "bool-array": np.array([False, True]),
+    "list": [-1.5, True, 2.5],
+    "tuple-of-numpy-bool": (-1.5, np.True_, 2.5),
+    "object-array": np.array([HUGE, True], dtype=object),
+}
 
 
 def _with(call, value):
@@ -196,6 +217,25 @@ REJECTED = {
         "amplitude_values": (
             lambda: pstchain.amplitude_values(DATA, ["0.0", "1.0"]), "got str"
         ),
+    },
+    # numpy reads a bool as 0 or 1, beside numbers too: [False, True] used to
+    # be a spectrum, and a tolerance of True to be 1.0
+    "bool": {
+        **{
+            f"{name}-{kind}": (_with(call, value), "^expected numbers, got bool$")
+            for name, call in {**REALS, **CLOSED_FORMS}.items()
+            for kind, value in (("True", True), ("numpy-True", np.True_))
+        },
+        **{
+            f"{name}-{kind}": (_with(call, value), "^expected numbers, got bool$")
+            for name, call in {**ARRAYS, **CLOSED_FORMS}.items()
+            for kind, value in BOOL_ARRAYS.items()
+        },
+        # the closed forms' t may have any shape
+        **{
+            f"{name}-nested-list": (_with(call, [[0.5, True]]), "^expected numbers, got bool$")
+            for name, call in CLOSED_FORMS.items()
+        },
     },
     # 2.5 steps used to run 2, and m = 1.5 to give an even middle gap
     "not-an-integer": {

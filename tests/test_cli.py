@@ -127,6 +127,9 @@ def cli_transcript(run, construct_args, workdir: Path) -> dict[str, bytes]:
     return files
 
 
+# the goldens pin round-off bits that move with the SIMD loop and the
+# OpenBLAS kernel (ROADMAP item 19)
+@pytest.mark.cpu_bits
 @pytest.mark.parametrize("run, name", through_both(GOLDEN_DOCUMENTS))
 def test_matches_golden_cli_outputs(run, name, tmp_path):
     got = cli_transcript(run, GOLDEN_DOCUMENTS[name], tmp_path)
@@ -146,6 +149,7 @@ def matrix_only_analysis(run, construct_args, workdir: Path) -> bytes:
     return report.read_bytes()
 
 
+@pytest.mark.cpu_bits
 @pytest.mark.parametrize("run, name", through_both(MATRIX_ONLY_DOCUMENTS))
 def test_matrix_only_analysis_matches_golden(run, name, tmp_path):
     got = matrix_only_analysis(run, GOLDEN_DOCUMENTS[name], tmp_path)
@@ -276,6 +280,7 @@ class TestAnalyze:
         assert doc["ese"] is None
         assert "no PST" in doc["verdict"]
 
+    @pytest.mark.cpu_bits  # whether the plateau minimum settles (ROADMAP item 12)
     def test_rounded_weights_leave_one_minimum_unresolved(self, tmp_path):
         # surgery N = 27 written with 12-digit weights: the one zero of the
         # exact spectrum survives the round trip, and a plateau minimum whose
@@ -549,7 +554,9 @@ class TestExitCodes:
         assert info.value.code == 2
 
 
-FAILED_RUNS = [  # exit code, argv; {name} is a file of the test's
+# exit code, argv and, where given, the start of the error message; {name}
+# is a file of the test's
+FAILED_RUNS = [
     (2, ["construct", "gap-family", "--n", "2"]),
     (2, ["analyze", "--in", "{missing}"]),
     (2, ["evolve", "--in", "{wire}", "--t0", "1", "--t1", "1", "--steps", "4"]),
@@ -581,15 +588,28 @@ FAILED_RUNS = [  # exit code, argv; {name} is a file of the test's
     ],
     # numbers written as strings, which used to convert silently
     (2, ["construct", "from-spectrum", "--in", "{string_spectrum}"]),
+    # bools, which used to read as 0 and 1: [false, true] was a spectrum
+    # and the bool matrix a 2-site wire
+    (2, ["analyze", "--in", "{bool_spectrum}"], "expected numbers, got bool"),
+    (2, ["analyze", "--in", "{bool_matrix}"], "expected numbers, got bool"),
+    # matrices that are not an object with diag and offdiag, which used to
+    # print the text of a KeyError or TypeError
+    *[
+        (2, ["analyze", "--in", f"{{{document}}}"],
+         "matrix must be an object with diag and offdiag arrays")
+        for document in ("empty_matrix", "string_matrix", "diag_only_matrix")
+    ],
 ]
 
 
 def failed_runs():
-    """(runner, exit code, argv) for each failed run: ``cli.main``, then the script."""
-    for i, (code, argv) in enumerate(FAILED_RUNS):
-        yield pytest.param(in_process, code, argv, id=f"{code}-argv{i}")
+    """(runner, exit code, argv, start of the error) for each failed run:
+    ``cli.main``, then the script."""
+    for i, (code, argv, *message) in enumerate(FAILED_RUNS):
+        error = ("error: " if code == 2 else "numerical failure: ") + "".join(message)
+        yield pytest.param(in_process, code, argv, error, id=f"{code}-argv{i}")
         yield pytest.param(
-            console_script, code, argv, id=f"{code}-argv{i}-script", marks=NO_SCRIPT
+            console_script, code, argv, error, id=f"{code}-argv{i}-script", marks=NO_SCRIPT
         )
 
 
@@ -676,9 +696,9 @@ class TestManifest:
         assert code == 0
         assert json.loads(stdout)["outputs"] == [os.devnull]
 
-    @pytest.mark.parametrize("run, code, argv", failed_runs())
+    @pytest.mark.parametrize("run, code, argv, error", failed_runs())
     def test_failed_run_prints_nothing_and_writes_nothing(
-        self, run, code, argv, wire, tmp_path
+        self, run, code, argv, error, wire, tmp_path
     ):
         files = {
             "wire": wire,
@@ -692,6 +712,11 @@ class TestManifest:
             "huge_weights": tmp_path / "huge_weights.json",
             "huge_matrix": tmp_path / "huge_matrix.json",
             "string_spectrum": tmp_path / "string_spectrum.json",
+            "bool_spectrum": tmp_path / "bool_spectrum.json",
+            "bool_matrix": tmp_path / "bool_matrix.json",
+            "empty_matrix": tmp_path / "empty_matrix.json",
+            "string_matrix": tmp_path / "string_matrix.json",
+            "diag_only_matrix": tmp_path / "diag_only_matrix.json",
         }
         files["bad"].write_text("{not json")
         files["undecidable"].write_text("[0.0, 1e-06, 1.000001]\n")
@@ -711,11 +736,18 @@ class TestManifest:
             json.dumps({"matrix": {"diag": [0.0, 0.0], "offdiag": [huge]}})
         )
         files["string_spectrum"].write_text(json.dumps(["-1.5", "-0.5", "0.5", "1.5"]))
+        files["bool_spectrum"].write_text(json.dumps([False, True]))
+        files["bool_matrix"].write_text(
+            json.dumps({"matrix": {"diag": [False, False], "offdiag": [True]}})
+        )
+        files["empty_matrix"].write_text(json.dumps({"matrix": {}}))
+        files["string_matrix"].write_text(json.dumps({"matrix": "abc"}))
+        files["diag_only_matrix"].write_text(json.dumps({"matrix": {"diag": [0.0, 0.0]}}))
         out = tmp_path / "out"
         argv = [arg.format(**files) for arg in argv]
         code_got, stdout, stderr = run([*argv, "--out", out])
         assert (code_got, stdout) == (code, "")
-        assert stderr.startswith("error: " if code == 2 else "numerical failure: ")
+        assert stderr.startswith(error), stderr
         assert stderr.count("\n") == 1, stderr
         assert not out.exists()
 

@@ -279,6 +279,16 @@ def test_polyline_points_match_per_point_format(t0, t1):
     )
 
 
+@pytest.mark.parametrize(
+    "times", [[0.5], [1.0, 1.0], [1.0, 0.5, 0.0]], ids=["one-point", "zero-span", "decreasing"]
+)
+def test_svg_time_axis_must_increase(times):
+    # a one-point or zero-span axis used to raise ZeroDivisionError
+    values = np.full(len(times), 0.5)
+    with pytest.raises(ValueError, match="times must increase from first to last"):
+        amplitude_svg(np.array(times), values, values, [], None)
+
+
 @pytest.mark.parametrize("t0, t1", RANGES)
 def test_both_figure_curves_match_per_point_format(t0, t1):
     # distinct x_0 and x_N: a curve drawn with the other's or a stale y shows
