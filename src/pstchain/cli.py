@@ -134,7 +134,7 @@ def cmd_construct(args: argparse.Namespace) -> str:
     sd = persymmetric_weights(request)
     if chain is None:
         chain = reconstruct_jacobi(sd)
-    cert = detect_pst(request, args.tol)
+    cert = detect_pst(sd, args.tol)
     document = {
         "spectrum": sd.eigenvalues,
         "weights": sd.weights,
@@ -149,7 +149,7 @@ def _transfer_analysis(
     sd: SpectralData, tol: float
 ) -> tuple[PstCertificate, EseReport | None]:
     """PST certificate of the spectral data and, if it certifies, its ESE report."""
-    cert = detect_pst(SpectrumRequest(sd.eigenvalues), tol)
+    cert = detect_pst(sd, tol)
     return cert, detect_ese(sd, cert) if cert.has_pst else None
 
 

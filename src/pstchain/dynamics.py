@@ -31,9 +31,9 @@ import numpy as np
 from .errors import PstUndecidableError
 from .inverse import SpectrumRequest, persymmetric_weights
 from .jacobi import (
+    _EPS,
     _NOISE_CLEARANCE,
     SpectralData,
-    _boundary_coefficients,
     _frame,
     _grid_sum,
     _real,
@@ -72,12 +72,13 @@ _ANOMALY_MARGIN = 1e-6
 
 @dataclass(frozen=True)
 class PstCertificate:
-    """Outcome of the transfer-time search over a spectrum.
+    """Outcome of the transfer-time search over spectral data.
 
     When ``has_pst`` is true, ``transfer_time`` is the earliest transfer
     time, ``gap_odd_integers`` holds the n_k with
-    g_k = (2 n_k + 1) pi / transfer_time, and ``phase`` is the measured
-    boundary amplitude x_N(transfer_time) of the persymmetric realization.
+    g_k = (2 n_k + 1) pi / transfer_time, and ``phase`` is the boundary
+    amplitude x_N(transfer_time) of the wire that the certified spectral
+    data determine.
     """
 
     has_pst: bool
@@ -139,8 +140,21 @@ class EseReport:
                 raise ValueError("listed zeros must not saturate the far boundary")
 
 
-def detect_pst(req: SpectrumRequest, tol: float = _PST_TOL) -> PstCertificate:
-    """Decide perfect state transfer and find the earliest transfer time.
+def detect_pst(
+    data: SpectralData | SpectrumRequest, tol: float = _PST_TOL
+) -> PstCertificate:
+    """Decide perfect state transfer of a wire and find the earliest transfer time.
+
+    ``data`` is the wire's spectral data; a ``SpectrumRequest`` stands for
+    its persymmetric wire, ``persymmetric_weights(data)``.  A wire has PST
+    exactly when it is mirror-symmetric and its gaps are odd multiples of
+    one quantum.  The gaps are tested first.  When a candidate passes, the
+    wire's persymmetry deviation 1 - sum_s |c_s| / sqrt(sum_s w_s), over
+    x_N's coefficients c, must be at most ``tol`` plus (N + 3) eps, the
+    rounding bound of that expression for N + 1 sites; otherwise the
+    certificate is negative.  The deviation is 0 for mirror-symmetric
+    weights and positive otherwise, second order in their asymmetry.  The
+    phase is the data's own x_N(T0).
 
     Candidate gap quanta are delta = g_min/(2j+1), scanned from j = 0
     upward; for each, every gap is tested against its nearest odd multiple
@@ -162,7 +176,7 @@ def detect_pst(req: SpectrumRequest, tol: float = _PST_TOL) -> PstCertificate:
     tol = _real(tol, "tol")
     if not 0.0 < tol <= _PST_TOL_CAP:
         raise ValueError(f"tol must lie in (0, {_PST_TOL_CAP:g}]")
-    lam = req.eigenvalues
+    lam = data.eigenvalues
     spectrum = tuple(lam.tolist())
     gaps = lam[1:] - lam[:-1]
     g_min = float(gaps.min())
@@ -179,14 +193,18 @@ def detect_pst(req: SpectrumRequest, tol: float = _PST_TOL) -> PstCertificate:
         hits = feasible.nonzero()[0]
         if hits.size:
             row = hits[0]
+            sd = persymmetric_weights(data) if isinstance(data, SpectrumRequest) else data
+            # by Cauchy-Schwarz, 0 exactly when w is proportional to u
+            deviation = 1.0 - float(np.abs(sd._last).sum()) / math.sqrt(float(sd.weights.sum()))
+            if deviation > tol + (sd.n_sites + 2) * _EPS:
+                break
             transfer_time = math.pi / float(delta[row])
             n_k = tuple(np.rint(0.5 * (odd[row] - 1.0)).astype(int).tolist())
-            phase = amplitude(persymmetric_weights(req), "last", transfer_time)
             return PstCertificate(
                 has_pst=True,
                 transfer_time=transfer_time,
                 gap_odd_integers=n_k,
-                phase=phase,
+                phase=amplitude(sd, "last", transfer_time),
                 eigenvalues=spectrum,
             )
         if capped[0] and start == 0:
@@ -268,6 +286,10 @@ def detect_ese(sd: SpectralData, cert: PstCertificate) -> EseReport:
     advance together; one that settles is certified as a zero when its
     residual, evaluated directly by the spectral sum, is below
     ``_ZERO_RESIDUAL_TOL`` (1e-10), which the report carries as ``tolerance``.
+
+    Newton's coefficients carry (lambda - c)^2 about the midpoint c, so a
+    spectrum whose squared half-span overflows, a span above about 2.7e154,
+    raises ValueError naming the span before any work.
     """
     if not cert.has_pst:
         raise ValueError("certificate does not certify perfect state transfer")
@@ -275,6 +297,11 @@ def detect_ese(sd: SpectralData, cert: PstCertificate) -> EseReport:
     limit = math.ldexp(1e-8, _frame(lam)[1])
     if sd.n_sites != lam.size or np.abs(sd.eigenvalues - lam).max() > limit:
         raise ValueError("spectral data is inconsistent with the certificate")
+    _, mu = sd._centred
+    half_span = float(max(-mu[0], mu[-1]))  # a Python float overflows to inf
+    if not math.isfinite(half_span * half_span):
+        span = float(lam[-1] - lam[0])
+        raise ValueError(f"spectral span {span:.6g} is too wide for the ESE search")
     transfer_time = float(cert.transfer_time)
     eps = 1e-6 * transfer_time
     times, f2 = _scan(sd, eps, transfer_time - eps)
@@ -287,8 +314,7 @@ def detect_ese(sd: SpectralData, cert: PstCertificate) -> EseReport:
     residual = np.abs(_spectral_sum(sd, t_conv, sd.weights))
     small = residual < _ZERO_RESIDUAL_TOL
     t_zero, residual = t_conv[small], residual[small]
-    last = _boundary_coefficients(sd, "last")
-    last_site = np.abs(_spectral_sum(sd, t_zero, last))
+    last_site = np.abs(_spectral_sum(sd, t_zero, sd._last))
     saturated = last_site >= 1.0 - _ANOMALY_MARGIN
     clear = ~saturated
     deduped: list[EseZero] = []

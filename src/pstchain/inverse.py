@@ -1,11 +1,15 @@
 """Spectrum to wire: mirror-symmetric weights and the unique reconstruction.
 
-Valid spectral data determine exactly one wire.  A persymmetric wire is
-determined by its spectrum alone: its weights (``persymmetric_weights``)
-are proportional to (-1)^(N+s) / prod_{k!=s}(l_s - l_k), positive for every
-s as the alternating sign cancels that of the product over an increasing
-sequence.  Reconstruction is a discrete Stieltjes orthogonalization against
-the measure sum_s w_s delta_{l_s}: Lanczos on diag(l) from the vector
+Valid spectral data determine exactly one wire, and every result computed
+from a ``SpectralData`` (x_N, the PST certificate, the ESE report) describes
+that wire.  A persymmetric wire is determined by its spectrum alone: its
+weights (``persymmetric_weights``) are proportional to
+(-1)^(N+s) / prod_{k!=s}(l_s - l_k), positive for every s as the
+alternating sign cancels that of the product over an increasing sequence.
+These are the u_s = 1 / |p'(l_s)| of x_N's coefficients, normalized, so a
+``SpectrumRequest`` stands for its persymmetric wire.  Reconstruction is a
+discrete Stieltjes orthogonalization against the measure
+sum_s w_s delta_{l_s}: Lanczos on diag(l) from the vector
 (sqrt(w_0), ..., sqrt(w_N)), each step projecting onto the whole basis
 twice (classical Gram-Schmidt) and reading a_k from the first pass.  It
 runs on (l_s - c) 2^-e in the frame of ``jacobi._frame`` and maps the wire
@@ -22,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ReconstructionError
-from .jacobi import JacobiMatrix, SpectralData, _frame, _spectrum
+from .jacobi import JacobiMatrix, SpectralData, _frame, _reciprocal_derivatives, _spectrum
 
 # Lanczos residual norms (in the unit frame) at or below this mean the
 # measure has effectively fewer support points than requested.
@@ -38,8 +42,9 @@ _SYMMETRIZE_LIMIT = 1e-6
 class SpectrumRequest:
     """A prescribed simple spectrum for the inverse problem.
 
-    Its persymmetric spectral data is computed once per instance, on the
-    first ``persymmetric_weights`` call, and kept on the instance.
+    It stands for the persymmetric wire with this spectrum, whose spectral
+    data is computed once per instance, on the first
+    ``persymmetric_weights`` call, and kept on the instance.
     """
 
     eigenvalues: np.ndarray
@@ -51,17 +56,11 @@ class SpectrumRequest:
     def _persymmetric(self) -> SpectralData:
         # The instance and its array are immutable, so the weights serve
         # every later query; the cache lives and dies with the instance.
-        # The products prod_{k!=s}(l_s - l_k) span a roughly factorial
-        # dynamic range, so they are accumulated in log space and
-        # exponentiated only after normalization.
-        lam = self.eigenvalues
-        diffs = lam[:, None] - lam[None, :]
-        diffs.flat[:: lam.size + 1] = 1.0
-        logw = -np.log(np.abs(diffs)).sum(axis=1)
-        logw -= logw.max()
-        w = np.exp(logw)
-        w /= w.sum()
-        return SpectralData(eigenvalues=lam, weights=w)
+        # The weights are u normalized, so x_N's coefficients reuse that u.
+        u = _reciprocal_derivatives(self.eigenvalues)
+        sd = SpectralData(eigenvalues=self.eigenvalues, weights=u / u.sum())
+        object.__setattr__(sd, "_u", u)
+        return sd
 
 
 def persymmetric_weights(req: SpectrumRequest) -> SpectralData:
@@ -69,7 +68,8 @@ def persymmetric_weights(req: SpectrumRequest) -> SpectralData:
 
     The weights are computed once per request and kept on it, so later
     calls on the same request, ``detect_pst``'s among them, return the same
-    object.  Weights lost to underflow raise ValueError on every call.
+    object, which keeps the unnormalized u its weights came from for x_N.
+    Weights lost to underflow raise ValueError on every call.
     """
     return req._persymmetric
 

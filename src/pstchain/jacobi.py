@@ -5,8 +5,12 @@ with strictly positive couplings.  The state that starts on site 0 evolves
 as exp(-iJt) e_0, and every boundary observable used here is a function of
 the eigenvalues together with the squared first components of the unit
 eigenvectors (the spectral weights): the site-0 amplitude is
-sum_s w_s exp(-i lambda_s t), and for mirror-symmetric (persymmetric)
-wires the site-N amplitude is the same sum with alternating signs.
+sum_s w_s exp(-i lambda_s t), and the site-N amplitude of every wire is
+sum_s c_s exp(-i lambda_s t) with c_s = sigma_s u_s / sqrt(sum_k u_k^2 / w_k),
+u_s = 1 / |p'(lambda_s)| for the characteristic polynomial p and sigma_s
+the sign (-1)^(N+s).  This follows from v_0(s) v_N(s) = prod b / p'(lambda_s)
+and prod b = (sum_s 1 / (p'(lambda_s)^2 w_s))^(-1/2); for mirror-symmetric
+(persymmetric) wires w is proportional to u and c_s = sigma_s w_s.
 
 The eigensolver runs on the LDL^T pivots of T - sigma I.  Eigenvalues are
 located by multisection on their sign count (the Sturm count), taken from
@@ -55,8 +59,8 @@ the read-only eigenvector matrix are kept on the instance on first use and
 shared by ``eigendecompose`` and every ``full_evolution_column`` call,
 with the coefficients v_i(s) v_0(s) that those columns sum.
 Likewise a ``SpectralData`` keeps, on first use, the frame's midpoint c with
-the centred spectrum lambda - c, and the alternating-sign x_N coefficients,
-which the transfer phase, the ESE search and every series share.  Value
+the centred spectrum lambda - c, and u with the x_N coefficients, which the
+transfer certificate, the ESE search and every series share.  Value
 types that hold arrays compare and hash by identity, as these caches do.
 """
 
@@ -113,9 +117,6 @@ _NOISE_CLEARANCE = 1e-12
 _MAX_GRID_POINTS = 1 << 20
 
 
-_BOOLS = frozenset((bool, np.bool_))
-
-
 def _readonly(values, dtype=float) -> np.ndarray:
     """A read-only one-dimensional copy of ``values`` as ``dtype``.
 
@@ -124,8 +125,11 @@ def _readonly(values, dtype=float) -> np.ndarray:
     object array) instead of raising OverflowError, and strings, None or
     bools instead of converting.  A list or tuple is converted once, its copy.
     """
-    # numpy reads a bool beside numbers as 0 or 1, so look for one first
-    if isinstance(values, (list, tuple)) and not _BOOLS.isdisjoint(map(type, values)):
+    # numpy reads a bool, or a bool array of any shape, beside numbers as 0
+    # or 1, so look for one first
+    if isinstance(values, (list, tuple)) and any(
+        isinstance(v, bool) or getattr(v, "dtype", None) == bool for v in values
+    ):
         raise ValueError("expected numbers, got bool")
     arr = np.asarray(values)
     real = np.dtype(dtype).kind != "c"
@@ -172,6 +176,21 @@ def _frame(spectrum) -> tuple[float, int]:
     """Midpoint c and exponent e with |lambda - c| <= 2^e on a sorted spectrum."""
     lo, hi = float(spectrum[0]), float(spectrum[-1])
     return 0.5 * lo + 0.5 * hi, math.frexp(0.5 * hi - 0.5 * lo)[1]
+
+
+def _reciprocal_derivatives(lam) -> np.ndarray:
+    """u_s = 1 / prod_{k!=s} |lambda_s - lambda_k|, scaled so max u = 1, read-only.
+
+    The products span a roughly factorial dynamic range, so they are
+    accumulated in log space and exponentiated only after scaling.
+    """
+    diffs = lam[:, None] - lam[None, :]
+    diffs.flat[:: lam.size + 1] = 1.0
+    logu = -np.log(np.abs(diffs)).sum(axis=1)
+    logu -= logu.max()
+    u = np.exp(logu)
+    u.setflags(write=False)
+    return u
 
 
 def _spectrum(values) -> np.ndarray:
@@ -274,12 +293,21 @@ class SpectralData:
         return c, self.eigenvalues - c
 
     @cached_property
+    def _u(self) -> np.ndarray:
+        # 1/|p'(lambda_s)|; persymmetric_weights seeds it with the u its
+        # weights came from
+        return _reciprocal_derivatives(self.eigenvalues)
+
+    @cached_property
     def _last(self) -> np.ndarray:
-        # x_N's coefficients, for persymmetric wires only: the last
-        # eigenvector component equals (-1)^(N+s) times the first one
-        s = np.arange(self.n_sites)
-        signs = np.where((self.n_sites - 1 + s) % 2 == 0, 1.0, -1.0)
-        last = signs * self.weights
+        # x_N's coefficients sigma_s u_s / sqrt(sum u^2/w), those of every
+        # wire.  A sum that overflows (a weight near the underflow
+        # threshold) leaves |x_N| below 1e-150 everywhere, and reads 0.
+        u = self._u
+        with np.errstate(over="ignore"):
+            norm = math.sqrt(float((u * u / self.weights).sum()))
+        last = u / norm
+        last[-2::-2] *= -1.0  # sigma_s = (-1)^(N+s), +1 at s = N
         last.setflags(write=False)
         return last
 
@@ -720,9 +748,10 @@ def amplitude_values(sd: SpectralData, times, site: Site = "first") -> np.ndarra
 def amplitude(sd: SpectralData, site: Site, t: float) -> complex:
     """Exact boundary amplitude from spectral data.
 
-    site "first" returns sum_s w_s exp(-i lambda_s t); site "last" returns
-    the alternating-sign sum, which equals x_N(t) when the spectral data
-    comes from a persymmetric wire.  ``t`` is a single real time.
+    site "first" returns x_0(t) = sum_s w_s exp(-i lambda_s t); site "last"
+    returns x_N(t) of the wire these spectral data determine, mirror-symmetric
+    or not (the module docstring gives its coefficients).  ``t`` is a single
+    real time.
     """
     return complex(amplitude_values(sd, _real(t, "t"), site)[0])
 

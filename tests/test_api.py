@@ -120,6 +120,9 @@ BOOL_ARRAYS = {
     "list": [-1.5, True, 2.5],
     "tuple-of-numpy-bool": (-1.5, np.True_, 2.5),
     "object-array": np.array([HUGE, True], dtype=object),
+    # a bool array inside a list or tuple used to read as 0 or 1
+    "zero-d-array-in-list": [-1.5, np.array(True), 2.5],
+    "arrays-in-tuple": (np.array([-1.5, 2.5]), np.array([False, True])),
 }
 
 

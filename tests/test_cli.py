@@ -316,11 +316,6 @@ class TestAnalyze:
         assert parsed["pst"]["has_pst"] is True
         assert parsed["pst"]["transfer_time"] == pytest.approx(math.pi / 2)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 1: detect_pst takes x_N from the persymmetric "
-        "weights of the spectrum, not from the weights the document gives",
-    )
     def test_non_mirror_weights_deny_pst(self, tmp_path):
         # the wire of these spectral data, reconstruct_jacobi's, reaches
         # only |x_N(pi)| = 0.95476 by full_evolution_column, as by
@@ -332,6 +327,21 @@ class TestAnalyze:
         report = tmp_path / "report.json"
         assert main(["analyze", "--in", str(doc), "--out", str(report)]) == 0
         assert json.loads(report.read_text())["pst"]["has_pst"] is False
+
+    def test_weights_summing_below_one_keep_pst(self, tmp_path):
+        # weights scaled to sum to 1 - 9e-13 are still mirror weights: the
+        # persymmetry deviation is taken relative to sqrt(sum w), so it is
+        # round-off, not 4.5e-13, and a 1e-13 tolerance still certifies
+        wire = tmp_path / "wire.json"
+        main(["construct", "gap-family", "--n", "4", "--m", "2", "--out", str(wire)])
+        doc = json.loads(wire.read_text())
+        weights = np.array(doc["weights"])
+        doc["weights"] = (weights * ((1.0 - 9e-13) / weights.sum())).tolist()
+        assert math.fsum(doc["weights"]) == pytest.approx(1.0 - 9e-13, abs=1e-15)
+        wire.write_text(json.dumps(doc))
+        report = tmp_path / "report.json"
+        assert main(["analyze", "--in", str(wire), "--tol", "1e-13", "--out", str(report)]) == 0
+        assert json.loads(report.read_text())["pst"]["has_pst"] is True
 
     def test_weakly_coupled_matrix_is_numerical_failure(self, tmp_path, capsys):
         doc = tmp_path / "m.json"
@@ -599,6 +609,11 @@ FAILED_RUNS = [
          "matrix must be an object with diag and offdiag arrays")
         for document in ("empty_matrix", "string_matrix", "diag_only_matrix")
     ],
+    # a span whose square overflows in the ESE search's Newton steps, which
+    # used to warn and exit 0
+    (2, ["analyze", "--in", "{wide_spectrum}"], "spectral span 1e+308 is too wide"),
+    (2, ["plot", "--in", "{wide_spectrum}", "--t0", "0", "--t1", "1"],
+     "spectral span 1e+308 is too wide"),
 ]
 
 
@@ -717,6 +732,7 @@ class TestManifest:
             "empty_matrix": tmp_path / "empty_matrix.json",
             "string_matrix": tmp_path / "string_matrix.json",
             "diag_only_matrix": tmp_path / "diag_only_matrix.json",
+            "wide_spectrum": tmp_path / "wide_spectrum.json",
         }
         files["bad"].write_text("{not json")
         files["undecidable"].write_text("[0.0, 1e-06, 1.000001]\n")
@@ -743,6 +759,7 @@ class TestManifest:
         files["empty_matrix"].write_text(json.dumps({"matrix": {}}))
         files["string_matrix"].write_text(json.dumps({"matrix": "abc"}))
         files["diag_only_matrix"].write_text(json.dumps({"matrix": {"diag": [0.0, 0.0]}}))
+        files["wide_spectrum"].write_text(json.dumps([0.0, 1e308]))
         out = tmp_path / "out"
         argv = [arg.format(**files) for arg in argv]
         code_got, stdout, stderr = run([*argv, "--out", out])

@@ -16,6 +16,7 @@ from pstchain import (
     JacobiMatrix,
     PstCertificate,
     PstUndecidableError,
+    SpectralData,
     SpectrumRequest,
     amplitude,
     amplitude_values,
@@ -24,6 +25,7 @@ from pstchain import (
     eigendecompose,
     gap_family_spectrum,
     persymmetric_weights,
+    reconstruct_jacobi,
     surgery_spectrum,
 )
 
@@ -143,6 +145,14 @@ def pst_corpus():
 
 PST_CORPUS = pst_corpus()
 
+# Krawtchouk N = 1..40, surgery N = 3..39 and gap families n = 2..20,
+# m = 1..30: 629 spectra
+NAMED_SPECTRA = (
+    [SpectrumRequest(np.arange(N + 1.0) - N / 2.0) for N in range(1, 41)]
+    + [surgery_spectrum(N) for N in range(3, 40, 2)]
+    + [gap_family_spectrum(n, m) for n in range(2, 21) for m in range(1, 31)]
+)
+
 
 class TestDetectPst:
     @pytest.mark.parametrize("tol", [1e-8, 1e-5])
@@ -238,6 +248,43 @@ class TestDetectPst:
     def test_undecidable_gap_spread(self):
         with pytest.raises(PstUndecidableError):
             detect_pst(SpectrumRequest([0.0, 1e-6, 1.0 + 1e-6]))
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-16, 1e-300])
+    def test_mirror_data_keep_the_gap_verdict(self, tol):
+        # mirror weights' persymmetry deviation is round-off, inside its
+        # bound at any tol (at most a quarter of it, measured), so the gaps
+        # alone decide, as the loop reference does
+        for req in NAMED_SPECTRA:
+            expected = loop_detect_pst(req, tol)
+            for data in (req, persymmetric_weights(req)):
+                cert = detect_pst(data, tol)
+                assert cert.has_pst, req.eigenvalues
+                assert (cert.transfer_time, cert.gap_odd_integers) == expected
+
+    def test_non_mirror_wires_on_odd_gap_lattices_have_no_pst(self):
+        # the wires of seeded odd-gap spectra with Dirichlet(4) weights:
+        # their gaps certify, but the wires are not mirror-symmetric
+        rng = np.random.default_rng(36)
+        for _ in range(40):
+            npts = int(rng.integers(3, 42))
+            odds = 2 * rng.integers(0, 4, size=npts - 1) + 1
+            lam = np.concatenate([[0.0], np.cumsum(odds * 0.5)]) + rng.uniform(-5.0, 5.0)
+            weights = rng.dirichlet(np.full(npts, 4.0))
+            sd = eigendecompose(reconstruct_jacobi(SpectralData(lam, weights)))
+            assert detect_pst(SpectrumRequest(sd.eigenvalues)).has_pst
+            cert = detect_pst(sd)
+            assert not cert.has_pst
+            assert cert.transfer_time is cert.phase is None
+
+    def test_phase_is_the_datas_own_far_end_amplitude(self):
+        # a mirror wire solved from its matrix: the phase is x_N of the
+        # eigensolver's weights, within round-off of the request's (4.0e-15
+        # measured)
+        for req in (surgery_spectrum(39), gap_family_spectrum(20, 9)):
+            sd = eigendecompose(reconstruct_jacobi(persymmetric_weights(req)))
+            cert = detect_pst(sd)
+            assert cert.phase == amplitude(sd, "last", cert.transfer_time)
+            assert abs(cert.phase - detect_pst(req).phase) <= 1e-12
 
     def test_phase_reuses_the_request_weights_bit_for_bit(self):
         for case in GOLDEN_CASES:
